@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import logging
 import os
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import conllu, corrections, evaluate, itdata, rules
 
@@ -43,25 +40,6 @@ def _load_pack(path: str | None) -> rules.RulePack:
         return rules.load_default_pack()
     with open(path, encoding="utf-8") as stream:
         return rules.load_rule_pack(stream)
-
-
-def _map_sentences(
-    func: Callable[[conllu.Sentence], object],
-    sentences: Iterable[conllu.Sentence],
-    jobs: int,
-) -> Iterator[object]:
-    """Order-preserving map; with jobs > 1, a bounded window keeps memory flat."""
-    if jobs <= 1:
-        yield from map(func, sentences)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        window: deque = deque()
-        for sentence in sentences:
-            window.append(executor.submit(func, sentence))
-            if len(window) >= jobs * 8:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
 
 
 def _require_readable(paths: Iterable[str | None]) -> None:
@@ -113,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enrich", help="assign morphosyntactic features from the rule pack")
     _add_io_arguments(p)
     _add_rules_argument(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over sentences")
 
     p = sub.add_parser("correct", help="apply systematic POS/XPOS corrections")
     _add_io_arguments(p)
@@ -138,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=itdata.DEFAULT_INSTRUCTION,
         help="instruction text placed before the input block",
     )
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("eval", help="score predictions against gold (UAS/LAS)")
     p.add_argument("gold", help="gold CoNLL-U file")
@@ -169,9 +145,8 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
     pack = _load_pack(args.rules)
     with ExitStack() as stack:
         sink = _open_output(stack, args.output)
-        worker = functools.partial(rules.enrich_sentence, pack=pack)
-        for sentence in _map_sentences(worker, _stream_sentences(stack, args), args.jobs):
-            conllu.write_conllu([sentence], sink)
+        for sentence in _stream_sentences(stack, args):
+            conllu.write_conllu([rules.enrich_sentence(sentence, pack)], sink)
     return 0
 
 
@@ -222,9 +197,8 @@ def _cmd_convert_it(args: argparse.Namespace) -> int:
     _require_readable(args.inputs)
     with ExitStack() as stack:
         sink = _open_output(stack, args.output)
-        worker = functools.partial(itdata.to_it_record, instruction=args.instruction)
-        for record in _map_sentences(worker, _stream_sentences(stack, args), args.jobs):
-            itdata.emit_jsonl([record], sink)
+        for sentence in _stream_sentences(stack, args):
+            itdata.emit_jsonl([itdata.to_it_record(sentence, args.instruction)], sink)
     return 0
 
 
@@ -261,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         corrections.CorrectionError,
         evaluate.EvalError,
         OSError,
-        ValueError,
+        UnicodeDecodeError,
     ) as error:
         print(f"udmorph {args.command}: {error}", file=sys.stderr)
         return 2

@@ -196,9 +196,13 @@ class Token:
 
     @property
     def morphemes(self) -> tuple[Morpheme, ...]:
+        """Aligned (surface, tag) pairs; empty when LEMMA or XPOS is empty,
+        the one misalignment lenient parsing admits."""
         segments = self.lemma_segments
         tags = self.tag_codes
         if len(segments) != len(tags):
+            if not segments or not tags:
+                return ()
             raise ValueError(
                 f"morpheme/tag misalignment: {len(segments)} lemma segment(s) "
                 f"vs {len(tags)} XPOS tag(s) in token {self.id} ({self.form!r})"
@@ -287,7 +291,7 @@ def _parse_token(columns: list[str], lineno: int, expected_id: int, lenient: boo
 
     if head == "_":
         head_value: int | None = None
-    elif head.isdigit():
+    elif head.isascii() and head.isdigit():
         head_value = int(head)
     else:
         raise ConlluError(f"invalid HEAD value {head!r}", lineno)

@@ -21,6 +21,13 @@ class CorrectionError(ValueError):
     pass
 
 
+def _parse_int(text: str, name: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CorrectionError(f"line {lineno}: {name} must be an integer, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class AuxAnnotation:
     """External tagger/NER output for one token, read from the sidecar file."""
@@ -271,7 +278,7 @@ def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | No
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "total_tokens":
-                total = int(parts[1])
+                total = _parse_int(parts[1], "total_tokens", lineno)
             continue
         fields = line.split("\t")
         if len(fields) != 6:
@@ -280,7 +287,7 @@ def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | No
         records.append(
             CorrectionRecord(
                 sent_id="" if sent_id == "_" else sent_id,
-                token_id=int(token_id),
+                token_id=_parse_int(token_id, "token_id", lineno),
                 field=field_name,
                 original="" if original == "_" else original,
                 corrected="" if corrected == "_" else corrected,
@@ -313,7 +320,7 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
         entries.append(
             AuxAnnotation(
                 sent_id=sent_id,
-                token_id=int(token_id),
+                token_id=_parse_int(token_id, "token_id", lineno),
                 ner_label=None if ner_label == "_" else ner_label,
                 ext_xpos=ext,
             )

@@ -15,11 +15,13 @@ pass 2 - periphrastic rules with a lookahead window of two syntactic words;
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable, TextIO
 
 from .conllu import (
+    _FEAT_VALUE_RE,
     CANONICAL_UPOS,
     SEJONG_TAGS,
     FeatureBag,
@@ -52,6 +54,9 @@ FEATURE_KEYS = frozenset(
 POSITIONS = ("any", "initial", "final")
 
 _VOICE_PRIORITY_BASE = 9000
+
+# Romanization passes non-hangul characters through; FEATS values may not hold them.
+_NON_FEAT_CHARS = re.compile(r"[^A-Za-z0-9]")
 
 
 class RulePackError(ValueError):
@@ -113,7 +118,6 @@ class RulePack:
     language: str
     rules: tuple[Rule, ...]
     functional_words: dict[str, frozenset[str]]
-    voice_lexicon: dict[str, str]
     conjunctive_adverbs: frozenset[str]
 
 
@@ -133,6 +137,11 @@ def _parse_morph_pattern(text: str, line: int) -> MorphPattern:
             if code not in SEJONG_TAGS:
                 raise RulePackError(f"unknown tag code {code!r}", line)
     return MorphPattern(_parse_alternation(surface), tags)
+
+
+def _check_feature_value(value: str, line: int) -> None:
+    if not _FEAT_VALUE_RE.match(value):
+        raise RulePackError(f"feature value {value!r} is not valid in FEATS", line)
 
 
 def _parse_rule_line(body: str, line: int) -> Rule:
@@ -189,6 +198,7 @@ def _parse_rule_line(body: str, line: int) -> Rule:
             raise RulePackError(f"malformed emission {item!r}", line)
         if key not in FEATURE_KEYS:
             raise RulePackError(f"unknown feature key {key!r}", line)
+        _check_feature_value(value, line)
         emits.append((key, value))
     if not emits:
         raise RulePackError("rule emits nothing", line)
@@ -266,6 +276,7 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
                 raise RulePackError("voice needs '<stem[+suffix]> <value>'", line_no)
             if parts[0] in voice:
                 raise RulePackError(f"duplicate voice entry {parts[0]!r}", line_no)
+            _check_feature_value(parts[1], line_no)
             voice[parts[0]] = parts[1]
         elif directive == "conjadv":
             conjadv.update(body.split())
@@ -297,7 +308,6 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
         language=language,
         rules=tuple(rules),
         functional_words={k: frozenset(v) for k, v in functional.items()},
-        voice_lexicon=dict(voice),
         conjunctive_adverbs=frozenset(conjadv),
     )
 
@@ -366,13 +376,17 @@ def assign_features(sentence: Sentence, pack: RulePack) -> Sentence:
 
 
 def transcribe_ending(token: Token) -> tuple[str, str] | None:
-    """Surface transcription for otherwise featureless conjunctive endings."""
+    """Surface transcription for otherwise featureless conjunctive endings.
+
+    Characters that a FEATS value cannot hold are dropped; an ending with
+    nothing left gets no transcription."""
     morphemes = token.morphemes
     if not morphemes or morphemes[-1].tag != "EC":
         return None
     if token.feats:
         return None
-    return ("Case", romanize(morphemes[-1].surface))
+    value = _NON_FEAT_CHARS.sub("", romanize(morphemes[-1].surface))
+    return ("Case", value) if value else None
 
 
 def tag_functional(token: Token, pack: RulePack) -> bool:

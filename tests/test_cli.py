@@ -60,6 +60,63 @@ def test_format_errors_exit_2(tmp_path, capsys):
     assert "columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,files,message",
+    [
+        (
+            ["validate", "in.conllu"],
+            {"in.conllu": "1\t하나\t하나\tNUM\tNR\t_\t²\troot\t_\t_\n\n"},
+            "line 1: invalid HEAD value '²'",
+        ),
+        (
+            ["correct", "in.conllu", "--aux", "aux.tsv"],
+            {"in.conllu": FIG1_CONLLU, "aux.tsv": "fixture-1\tone\tPER\t_\n"},
+            "line 1: token_id must be an integer",
+        ),
+        (
+            ["stats", "log.tsv"],
+            {"log.tsv": "# total_tokens\t10\ns1\tone\tUPOS\tADV\tNOUN\tr\n"},
+            "line 2: token_id must be an integer",
+        ),
+        (
+            ["stats", "log.tsv"],
+            {"log.tsv": "# total_tokens\tmany\n"},
+            "line 1: total_tokens must be an integer",
+        ),
+        (["validate", "in.conllu"], {"in.conllu": b"1\t\xff\n\n"}, "'utf-8' codec"),
+    ],
+    ids=["head", "aux-token-id", "log-token-id", "log-total", "not-utf8"],
+)
+def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, files, message):
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            _write(tmp_path / name, content)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_enrich_output_validates_for_non_hangul_ending(tmp_path):
+    src = _write(tmp_path / "in.conllu", "1\t가다가\t가+다가-\tVERB\tVV+EC\t_\t0\troot\t_\t_\n\n")
+    out = tmp_path / "out.conllu"
+    assert main(["enrich", src, "-o", str(out)]) == 0
+    assert "\tCase=daga\t" in out.read_text(encoding="utf-8")
+    assert main(["validate", str(out)]) == 0
+
+
+def test_lenient_token_without_lemma_passes_every_stage(tmp_path):
+    text = "1\t학교\t_\tNOUN\tNNG\t_\t0\troot\t_\t_\n\n"
+    src = _write(tmp_path / "in.conllu", text)
+    enriched, corrected, records = (tmp_path / n for n in ("enriched", "corrected", "it.jsonl"))
+    assert main(["enrich", src, "--lenient", "-o", str(enriched)]) == 0
+    assert main(["correct", str(enriched), "--lenient", "-o", str(corrected)]) == 0
+    assert main(["convert-it", str(corrected), "--lenient", "-o", str(records)]) == 0
+    assert corrected.read_text(encoding="utf-8") == text
+    assert json.loads(records.read_text(encoding="utf-8"))["output"] == "1\t학교\t_\tNOUN\tNNG\t_\t0\troot\n"
+
+
 def test_correct_writes_log_and_stats(tmp_path, capsys):
     source = (
         "# sent_id = s1\n"
@@ -185,14 +242,6 @@ def test_shell_pipeline_composes(tmp_path):
     payload = json.loads(stdout)
     assert "Case=Disj" in payload["input"]
     assert payload["output"].endswith("5\tpunct\n")
-
-
-def test_enrich_jobs_matches_serial(tmp_path):
-    src = _write(tmp_path / "in.conllu", BLANKED * 8)
-    serial, parallel = tmp_path / "serial.out", tmp_path / "parallel.out"
-    assert main(["enrich", src, "-o", str(serial)]) == 0
-    assert main(["enrich", src, "-o", str(parallel), "--jobs", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_multiple_input_files_concatenate(tmp_path):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 
@@ -50,6 +52,17 @@ def test_misalignment_is_a_parse_error():
     bad = "1\t분위기나\t분위기+나\tNOUN\tNNG\t_\t0\troot\t_\t_\n\n"
     with pytest.raises(ConlluError, match="morpheme/tag misalignment"):
         parse_conllu(bad)
+
+
+def test_lenient_empty_lemma_has_no_morphemes():
+    text = "1\t학교\t_\tNOUN\tNNG\t_\t0\troot\t_\t_\n\n"
+    with pytest.raises(ConlluError, match="morpheme/tag misalignment"):
+        parse_conllu(text)
+    token = parse_conllu(text, lenient=True)[0].tokens[0]
+    assert token.morphemes == ()
+    mismatched = replace(token, lemma="분위기+나")
+    with pytest.raises(ValueError, match="misalignment"):
+        mismatched.morphemes
 
 
 def test_unknown_tag_strict_vs_lenient():
@@ -117,6 +130,13 @@ def test_feats_round_trip_random_bags():
         text = bag.to_conllu()
         assert FeatureBag.from_conllu(text) == bag
         assert FeatureBag.from_conllu(text).to_conllu() == text
+
+
+def test_feature_bag_copies_and_pickles():
+    bag = FeatureBag({"Case": ["Nom"], "Mood": ["Cnd", "Pot"]})
+    assert copy.copy(bag) == bag
+    assert copy.deepcopy(bag) == bag
+    assert pickle.loads(pickle.dumps(bag)) == bag
 
 
 def test_validate_reference_sentence_is_clean():

@@ -1,9 +1,11 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FAMILY_FIXTURES, make_sentence
-from udmorph.conllu import FeatureBag, Token
+from udmorph.conllu import FeatureBag, Token, parse_conllu, serialize_conllu, validate
 from udmorph.rules import (
     PACK_HEADER,
     RulePackError,
@@ -63,6 +65,15 @@ def test_duplicate_pattern_and_priority_names_both_rules():
 def test_unknown_feature_key_rejected():
     text = f"{PACK_HEADER}\nrule a 10 tag=JKS => Gender=Masc\n"
     with pytest.raises(RulePackError, match="unknown feature key 'Gender'"):
+        load_rule_pack(text)
+
+
+@pytest.mark.parametrize(
+    "line", ["rule a 10 tag=EC => Case=daga-", "voice 먹+히 Pass|Cau"], ids=["rule", "voice"]
+)
+def test_emitted_value_invalid_in_feats_rejected(line):
+    text = f"{PACK_HEADER}\nlanguage ko\n{line}\n"
+    with pytest.raises(RulePackError, match="line 3: feature value .* is not valid in FEATS"):
         load_rule_pack(text)
 
 
@@ -156,6 +167,11 @@ def test_transcribe_bare_ending():
     assert transcribe_ending(_token("먹고", "먹+고", "VV+EC")) == ("Case", "go")
 
 
+def test_transcribe_drops_characters_feats_cannot_hold():
+    assert transcribe_ending(_token("가다가", "가+다가-", "VV+EC")) == ("Case", "daga")
+    assert transcribe_ending(_token("가…", "가+…", "VV+EC")) is None
+
+
 def test_transcribe_suppressed_when_features_present():
     token = replace(_token("가면", "가+면", "VV+EC"), feats=FeatureBag({"Mood": ["Cnd"]}))
     assert transcribe_ending(token) is None
@@ -171,6 +187,30 @@ def test_enrich_transcribes_unmatched_ending(pack):
     )
     enriched = enrich_sentence(sentence, pack)
     assert enriched.tokens[0].feats == FeatureBag({"Case": ["seo"]})
+
+
+# Any text a LEMMA segment can hold: no tab, '+' or line break.
+_SEGMENT_CHARS = st.characters(
+    exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters="+"
+)
+_EC_SURFACES = st.text(
+    st.one_of(st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3), _SEGMENT_CHARS),
+    min_size=1,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(surface=_EC_SURFACES)
+def test_enrich_output_reads_back_validates_and_is_idempotent(pack, surface):
+    text = (
+        f"1\t가{surface}\t가+{surface}\tVERB\tVV+EC\t_\t2\tadvcl\t_\t_\n"
+        "2\t좋다\t좋+다\tADJ\tVA+EF\t_\t0\troot\t_\t_\n\n"
+    )
+    assert validate(parse_conllu(text)) == []
+    enriched = serialize_conllu(enrich_sentence(s, pack) for s in parse_conllu(text))
+    reparsed = parse_conllu(enriched)
+    assert validate(reparsed) == []
+    assert serialize_conllu(enrich_sentence(s, pack) for s in reparsed) == enriched
 
 
 def test_functional_words(pack):

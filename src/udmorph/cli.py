@@ -20,6 +20,8 @@ from . import conllu, corrections, evaluate, itdata, rules
 
 RULES_ENV_VAR = "UDMORPH_RULES"
 
+logger = logging.getLogger("udmorph")
+
 
 def _open_input(stack: ExitStack, path: str) -> TextIO:
     if path == "-":
@@ -163,14 +165,24 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
     all_records: list[corrections.CorrectionRecord] = []
     total_tokens = 0
+    matched: set[str] = set()
     with ExitStack() as stack:
         sink = _open_output(stack, args.output)
         for sentence in _stream_sentences(stack, args):
             total_tokens += len(sentence.tokens)
             entries = aux_by_sentence.get(sentence.sent_id or "", [])
+            if entries:
+                matched.add(sentence.sent_id)
             corrected, records = corrections.correct_sentence(sentence, entries, pack)
             all_records.extend(records)
             conllu.write_conllu([corrected], sink)
+    unmatched = [entry for entry in aux_entries if entry.sent_id not in matched]
+    if unmatched:
+        logger.warning(
+            "%d aux entries match no sentence (first sent_id %r)",
+            len(unmatched),
+            unmatched[0].sent_id,
+        )
     if args.records is not None:
         with open(args.records, "w", encoding="utf-8") as sink:
             corrections.write_records(all_records, total_tokens, sink)

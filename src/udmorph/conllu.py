@@ -291,7 +291,7 @@ def _parse_token(columns: list[str], lineno: int, expected_id: int, lenient: boo
 
     if head == "_":
         head_value: int | None = None
-    elif head.isascii() and head.isdigit():
+    elif head == "0" or _WORD_ID_RE.match(head):
         head_value = int(head)
     else:
         raise ConlluError(f"invalid HEAD value {head!r}", lineno)

@@ -309,6 +309,8 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
         if len(fields) != 4:
             raise CorrectionError(f"line {lineno}: expected 4 columns, got {len(fields)}")
         sent_id, token_id, ner_label, ext_xpos = fields
+        if not sent_id:
+            raise CorrectionError(f"line {lineno}: empty sent_id")
         ext: tuple[str, ...] | None
         if ext_xpos == "_":
             ext = None

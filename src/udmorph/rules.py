@@ -3,13 +3,15 @@
 Rules live in a line-oriented pack file (see `load_rule_pack`) and fire on
 (surface, tag) morpheme evidence only, never on existing features, which
 makes feature assignment a pure, idempotent function of the sentence and
-the pack.  Application runs in two passes:
+the pack.  A pack holds its rules in resolution order (higher priority
+first, ties broken by rule id), and one scan over them resolves two passes:
 
 pass 1 - word-internal rules (no cross-token context); per feature key the
-         highest-priority matching rule wins.
-pass 2 - periphrastic rules with a lookahead window of two syntactic words;
-         their emissions extend the pass-1 bag and never displace it (a key
-         already present gains values instead of being overwritten).
+         first matching rule wins.
+pass 2 - periphrastic rules with a lookahead window of two syntactic words,
+         resolved the same way; their emissions extend the pass-1 bag and
+         never displace it (a key already present gains values instead of
+         being overwritten).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import io
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from .conllu import (
     _FEAT_VALUE_RE,
@@ -120,6 +122,10 @@ class RulePack:
     functional_words: dict[str, frozenset[str]]
     conjunctive_adverbs: frozenset[str]
 
+    def __post_init__(self):
+        ordered = tuple(sorted(self.rules, key=lambda r: (-r.priority, r.id)))
+        object.__setattr__(self, "rules", ordered)
+
 
 def _parse_alternation(text: str) -> frozenset[str] | None:
     if text == "*":
@@ -127,16 +133,19 @@ def _parse_alternation(text: str) -> frozenset[str] | None:
     return frozenset(text.split("|"))
 
 
+def _parse_tags(text: str, line: int) -> frozenset[str] | None:
+    tags = _parse_alternation(text)
+    for code in tags or ():
+        if code not in SEJONG_TAGS:
+            raise RulePackError(f"unknown tag code {code!r}", line)
+    return tags
+
+
 def _parse_morph_pattern(text: str, line: int) -> MorphPattern:
     surface, sep, tag = text.partition("/")
     if not sep:
         raise RulePackError(f"context pattern {text!r} must be <surface>/<tag>", line)
-    tags = _parse_alternation(tag)
-    if tags is not None:
-        for code in tags:
-            if code not in SEJONG_TAGS:
-                raise RulePackError(f"unknown tag code {code!r}", line)
-    return MorphPattern(_parse_alternation(surface), tags)
+    return MorphPattern(_parse_alternation(surface), _parse_tags(tag, line))
 
 
 def _check_feature_value(value: str, line: int) -> None:
@@ -166,12 +175,9 @@ def _parse_rule_line(body: str, line: int) -> Rule:
         if not sep:
             raise RulePackError(f"malformed field {item!r}", line)
         if key == "tag":
-            tags = _parse_alternation(value)
+            tags = _parse_tags(value, line)
             if tags is None:
                 raise RulePackError("anchor tag may not be '*'", line)
-            for code in tags:
-                if code not in SEJONG_TAGS:
-                    raise RulePackError(f"unknown tag code {code!r}", line)
         elif key == "surface":
             surfaces = _parse_alternation(value)
         elif key == "pos":
@@ -287,22 +293,17 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
     if not rules:
         raise RulePackError("no rules")
 
-    seen_ids: dict[str, Rule] = {}
-    by_pattern: dict[tuple, list[Rule]] = {}
+    seen_ids: set[str] = set()
+    by_pattern: dict[tuple, Rule] = {}
     for rule in rules:
         if rule.id in seen_ids:
             raise RulePackError(f"duplicate rule id {rule.id!r}")
-        seen_ids[rule.id] = rule
-        by_pattern.setdefault(rule.pattern_key, []).append(rule)
-    for group in by_pattern.values():
-        priorities: dict[int, Rule] = {}
-        for rule in group:
-            clash = priorities.get(rule.priority)
-            if clash is not None:
-                raise RulePackError(
-                    f"rules {clash.id!r} and {rule.id!r} share a pattern and priority {rule.priority}"
-                )
-            priorities[rule.priority] = rule
+        seen_ids.add(rule.id)
+        clash = by_pattern.setdefault((rule.pattern_key, rule.priority), rule)
+        if clash is not rule:
+            raise RulePackError(
+                f"rules {clash.id!r} and {rule.id!r} share a pattern and priority {rule.priority}"
+            )
 
     return RulePack(
         language=language,
@@ -317,52 +318,37 @@ def load_default_pack(language: str = "ko") -> RulePack:
     return load_rule_pack(text)
 
 
-def _first_morpheme(token: Token) -> Morpheme | None:
-    morphemes = token.morphemes
-    return morphemes[0] if morphemes else None
-
-
 def _context_matches(rule: Rule, tokens: tuple[Token, ...], index: int) -> bool:
-    window = [
-        m for m in (_first_morpheme(t) for t in tokens[index + 1 : index + 3]) if m is not None
-    ]
+    window = [t.morphemes[0] for t in tokens[index + 1 : index + 3] if t.morphemes]
     if len(rule.context) == 1:
         return any(rule.context[0].matches(m) for m in window)
-    if len(rule.context) == 2:
-        return (
-            len(window) == 2
-            and rule.context[0].matches(window[0])
-            and rule.context[1].matches(window[1])
-        )
-    return True
-
-
-def _resolve(fired: list[Rule]) -> dict[str, tuple[str, ...]]:
-    """Per feature key, the highest-priority rule wins (ties break on id)."""
-    winners: dict[str, Rule] = {}
-    for rule in sorted(fired, key=lambda r: (-r.priority, r.id)):
-        for key, _ in rule.emits:
-            winners.setdefault(key, rule)
-    return {
-        key: tuple(v for k, v in rule.emits if k == key)
-        for key, rule in winners.items()
-    }
+    return (
+        len(window) == 2
+        and rule.context[0].matches(window[0])
+        and rule.context[1].matches(window[1])
+    )
 
 
 def assign_token_features(token: Token, pack: RulePack, sentence: Sentence, index: int) -> FeatureBag:
+    """Per pass and feature key, the first matching rule in pack order wins."""
     morphemes = token.morphemes
-    fired_internal = [
-        r for r in pack.rules if not r.context and r.matches_word(morphemes)
-    ]
-    bag = {k: set(v) for k, v in _resolve(fired_internal).items()}
-
-    fired_context = [
-        r
-        for r in pack.rules
-        if r.context and r.matches_word(morphemes) and _context_matches(r, sentence.tokens, index)
-    ]
-    for key, values in _resolve(fired_context).items():
-        bag.setdefault(key, set()).update(values)
+    internal: dict[str, Rule] = {}
+    context: dict[str, Rule] = {}
+    for rule in pack.rules:
+        if not rule.matches_word(morphemes):
+            continue
+        if not rule.context:
+            winners = internal
+        elif _context_matches(rule, sentence.tokens, index):
+            winners = context
+        else:
+            continue
+        for key, _ in rule.emits:
+            winners.setdefault(key, rule)
+    bag: dict[str, set[str]] = {}
+    for winners in (internal, context):
+        for key, rule in winners.items():
+            bag.setdefault(key, set()).update(v for k, v in rule.emits if k == key)
     return FeatureBag(bag)
 
 

@@ -69,6 +69,19 @@ def test_format_errors_exit_2(tmp_path, capsys):
             "line 1: invalid HEAD value '²'",
         ),
         (
+            ["enrich", "in.conllu"],
+            {
+                "in.conllu": "1\t하나\t하나\tNUM\tNR\t_\t02\tnummod\t_\t_\n"
+                "2\t둘\t둘\tNUM\tNR\t_\t0\troot\t_\t_\n\n"
+            },
+            "line 1: invalid HEAD value '02'",
+        ),
+        (
+            ["correct", "in.conllu", "--aux", "aux.tsv"],
+            {"in.conllu": FIG1_CONLLU, "aux.tsv": "\t1\tPER\t_\n"},
+            "line 1: empty sent_id",
+        ),
+        (
             ["correct", "in.conllu", "--aux", "aux.tsv"],
             {"in.conllu": FIG1_CONLLU, "aux.tsv": "fixture-1\tone\tPER\t_\n"},
             "line 1: token_id must be an integer",
@@ -85,7 +98,15 @@ def test_format_errors_exit_2(tmp_path, capsys):
         ),
         (["validate", "in.conllu"], {"in.conllu": b"1\t\xff\n\n"}, "'utf-8' codec"),
     ],
-    ids=["head", "aux-token-id", "log-token-id", "log-total", "not-utf8"],
+    ids=[
+        "head",
+        "head-leading-zero",
+        "aux-empty-sent-id",
+        "aux-token-id",
+        "log-token-id",
+        "log-total",
+        "not-utf8",
+    ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, files, message):
     for name, content in files.items():
@@ -134,6 +155,17 @@ def test_correct_writes_log_and_stats(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "# UPOS corrections" in captured
     assert "ADV\tNOUN\t1\t0.5000" in captured
+
+
+def test_correct_warns_about_aux_entries_matching_no_sentence(tmp_path, caplog):
+    src = _write(tmp_path / "in.conllu", FIG1_CONLLU.replace("fixture-1", "s1"))
+    aux = _write(tmp_path / "aux.tsv", "s1\t1\tPER\t_\ns9\t1\tPER\t_\ns8\t2\t_\t_\n")
+    log = tmp_path / "records.tsv"
+    argv = ["correct", src, "--aux", aux, "-o", str(tmp_path / "out"), "--records", str(log)]
+    assert main(argv) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["2 aux entries match no sentence (first sent_id 's9')"]
+    assert "s1\t1\t" in log.read_text(encoding="utf-8")
 
 
 def test_stats_requires_denominator(tmp_path, capsys):

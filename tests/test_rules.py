@@ -8,6 +8,7 @@ from conftest import FAMILY_FIXTURES, make_sentence
 from udmorph.conllu import FeatureBag, Token, parse_conllu, serialize_conllu, validate
 from udmorph.rules import (
     PACK_HEADER,
+    MorphPattern,
     RulePackError,
     assign_features,
     enrich_sentence,
@@ -158,6 +159,103 @@ def test_disabling_context_pass_never_removes_internal_output(pack):
         for token_partial, token_full in zip(partial.tokens, full.tokens):
             for key, values in token_partial.feats.items():
                 assert set(values) <= set(token_full.feats.get(key))
+
+
+def _reference_context_matches(rule, tokens, index):
+    window = [t.morphemes[0] for t in tokens[index + 1 : index + 3] if t.morphemes]
+    if len(rule.context) == 1:
+        return any(rule.context[0].matches(m) for m in window)
+    return len(window) == 2 and all(p.matches(m) for p, m in zip(rule.context, window))
+
+
+def _reference_resolve(fired):
+    winners = {}
+    for rule in sorted(fired, key=lambda r: (-r.priority, r.id)):
+        for key, _ in rule.emits:
+            winners.setdefault(key, rule)
+    return {key: tuple(v for k, v in rule.emits if k == key) for key, rule in winners.items()}
+
+
+def _reference_feats(sentence, pack):
+    """Two scans per token, each pass sorting its fired rules by (-priority, id)."""
+    bags = []
+    for index, token in enumerate(sentence.tokens):
+        morphemes = token.morphemes
+        internal = [r for r in pack.rules if not r.context and r.matches_word(morphemes)]
+        bag = {k: set(v) for k, v in _reference_resolve(internal).items()}
+        context = [
+            r
+            for r in pack.rules
+            if r.context
+            and r.matches_word(morphemes)
+            and _reference_context_matches(r, sentence.tokens, index)
+        ]
+        for key, values in _reference_resolve(context).items():
+            bag.setdefault(key, set()).update(values)
+        bags.append(FeatureBag(bag))
+    return bags
+
+
+def _pack_sentences(pack):
+    """1-4 words built from the pack's own surfaces and tags.
+
+    A word holds 1-3 pieces: the prev and anchor morphemes of a rule, a
+    morpheme a lookahead slot accepts, or any pack surface with any pack tag.
+    A lookahead rule's firing word may be followed by one word per slot that
+    starts with a morpheme the slot accepts."""
+    slots = [p for rule in pack.rules for p in rule.context]
+    patterns = [p for rule in pack.rules for p in (rule.prev, *rule.context) if p is not None]
+    patterns += [MorphPattern(rule.surfaces, rule.tags) for rule in pack.rules]
+    surfaces = sorted({s for p in patterns for s in p.surfaces or ()})
+    tags = sorted({t for p in patterns for t in p.tags or ()})
+
+    def morpheme(pattern):
+        return st.tuples(
+            st.sampled_from(sorted(pattern.surfaces or surfaces)),
+            st.sampled_from(sorted(pattern.tags or tags)),
+        )
+
+    def firing(rule):
+        anchor = morpheme(MorphPattern(rule.surfaces, rule.tags))
+        return st.tuples(morpheme(rule.prev), anchor) if rule.prev else st.tuples(anchor)
+
+    def pieces(first, most):
+        return st.tuples(first, st.lists(piece, max_size=most)).map(
+            lambda fp: [*fp[0], *(m for p in fp[1] for m in p)]
+        )
+
+    piece = st.one_of(
+        st.sampled_from(pack.rules).flatmap(firing),
+        st.sampled_from(slots).flatmap(lambda p: st.tuples(morpheme(p))),
+        st.tuples(morpheme(MorphPattern())),
+    )
+    word = pieces(piece, 2)
+
+    def with_window(rule):
+        window = [pieces(st.tuples(morpheme(slot)), 1) for slot in rule.context]
+        return st.tuples(pieces(firing(rule), 1), *window).map(list)
+
+    lookahead = st.sampled_from([r for r in pack.rules if r.context]).flatmap(with_window)
+    chunk = st.one_of(word.map(lambda w: [w]), lookahead)
+    return st.lists(chunk, min_size=1, max_size=3).map(lambda cs: [w for c in cs for w in c][:4])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_pass_matches_two_scan_resolver_in_any_rule_order(pack, data):
+    words = data.draw(_pack_sentences(pack))
+    sentence = make_sentence(
+        [
+            ("".join(s for s, _ in w), "+".join(s for s, _ in w), "+".join(t for _, t in w), "X")
+            for w in words
+        ]
+    )
+    feats = [t.feats for t in assign_features(sentence, pack).tokens]
+    assert feats == _reference_feats(sentence, pack)
+
+    shuffled = replace(pack, rules=tuple(data.draw(st.permutations(pack.rules))))
+    assert shuffled.rules == pack.rules
+    assert [t.feats for t in assign_features(sentence, shuffled).tokens] == feats
 
 
 # ----------------------------------------------------- transcription and MISC

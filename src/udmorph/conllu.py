@@ -1,10 +1,10 @@
 """CoNLL-U parsing, serialization and validation.
 
 The data model keeps the morpheme-segmented LEMMA and XPOS columns as raw
-`+`-joined strings (the serialization authority) and derives aligned
-(surface, tag) morpheme pairs on demand.  Multiword-token ranges (`1-2`)
-and empty nodes (`1.1`) are carried verbatim and excluded from the token
-list and from all structural checks.
+`+`-joined strings (the serialization authority) and splits them into
+aligned (surface, tag) morpheme pairs once per token, on first use.
+Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
+and excluded from the token list and from all structural checks.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import io
 import logging
 import re
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 logger = logging.getLogger("udmorph")
 
@@ -171,6 +172,17 @@ def _split_plus(raw: str) -> tuple[str, ...]:
     return tuple(raw.split("+"))
 
 
+def _misalignment(segments: Sequence[str], tags: Sequence[str], lenient: bool) -> str | None:
+    """The alignment rule: one LEMMA segment per XPOS tag.  `lenient` admits
+    an empty LEMMA or XPOS, which then yields no morpheme pairs."""
+    if len(segments) == len(tags) or (lenient and not (segments and tags)):
+        return None
+    return (
+        f"morpheme/tag misalignment: {len(segments)} lemma segment(s) "
+        f"vs {len(tags)} XPOS tag(s)"
+    )
+
+
 @dataclass(frozen=True)
 class Token:
     """One syntactic word.  `lemma` and `xpos` hold raw `+`-joined columns."""
@@ -186,28 +198,15 @@ class Token:
     deps: str = "_"
     misc: str = "_"
 
-    @property
-    def lemma_segments(self) -> tuple[str, ...]:
-        return _split_plus(self.lemma)
-
-    @property
-    def tag_codes(self) -> tuple[str, ...]:
-        return _split_plus(self.xpos)
-
-    @property
+    @cached_property
     def morphemes(self) -> tuple[Morpheme, ...]:
-        """Aligned (surface, tag) pairs; empty when LEMMA or XPOS is empty,
-        the one misalignment lenient parsing admits."""
-        segments = self.lemma_segments
-        tags = self.tag_codes
-        if len(segments) != len(tags):
-            if not segments or not tags:
-                return ()
-            raise ValueError(
-                f"morpheme/tag misalignment: {len(segments)} lemma segment(s) "
-                f"vs {len(tags)} XPOS tag(s) in token {self.id} ({self.form!r})"
-            )
-        return tuple(Morpheme(s, t) for s, t in zip(segments, tags))
+        """Aligned (surface, tag) pairs, split once per token object; empty
+        when LEMMA or XPOS is empty, the one misalignment lenient parsing admits."""
+        segments, tags = _split_plus(self.lemma), _split_plus(self.xpos)
+        problem = _misalignment(segments, tags, lenient=True)
+        if problem:
+            raise ValueError(f"{problem} in token {self.id} ({self.form!r})")
+        return tuple(map(Morpheme, segments, tags))
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,9 @@ def canonical_upos(morphemes: Iterable[Morpheme]) -> str | None:
     return base
 
 
-def _parse_token(columns: list[str], lineno: int, expected_id: int, lenient: bool) -> Token:
+def _parse_token(
+    columns: list[str], lineno: int, expected_id: int, lenient: bool, unknown_tags: dict
+) -> Token:
     raw_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
     token_id = int(raw_id)
     if token_id != expected_id:
@@ -276,18 +277,14 @@ def _parse_token(columns: list[str], lineno: int, expected_id: int, lenient: boo
         if code not in SEJONG_TAGS:
             if not lenient:
                 raise ConlluError(f"unknown XPOS tag {code!r}", lineno)
-            logger.warning("line %d: unknown XPOS tag %r mapped to NA", lineno, code)
+            unknown_tags.setdefault(code, [lineno, 0])[1] += 1
             code = "NA"
         tags.append(code)
     xpos = "+".join(tags)
 
-    n_segments = len(_split_plus(lemma))
-    if n_segments != len(tags) and not (lenient and (n_segments == 0 or not tags)):
-        raise ConlluError(
-            f"morpheme/tag misalignment: {n_segments} lemma segment(s) "
-            f"vs {len(tags)} XPOS tag(s)",
-            lineno,
-        )
+    problem = _misalignment(_split_plus(lemma), tags, lenient)
+    if problem:
+        raise ConlluError(problem, lineno)
 
     if head == "_":
         head_value: int | None = None
@@ -313,11 +310,14 @@ def _parse_token(columns: list[str], lineno: int, expected_id: int, lenient: boo
 def iter_sentences(
     source: str | TextIO, *, lenient: bool = False, strip_bom: bool = False
 ) -> Iterator[Sentence]:
-    """Stream sentences from CoNLL-U text; memory stays bounded per sentence."""
+    """Stream sentences from CoNLL-U text; memory stays bounded per sentence.
+
+    Under `lenient`, each unknown XPOS tag is logged once, at the end."""
     stream = io.StringIO(source) if isinstance(source, str) else source
     comments: list[str] = []
     tokens: list[Token] = []
     extras: list[tuple[int, str]] = []
+    unknown_tags: dict[str, list[int]] = {}  # tag -> [first line, count]
 
     def flush(lineno: int) -> Sentence:
         if not tokens:
@@ -351,12 +351,15 @@ def iter_sentences(
         if _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
             extras.append((len(tokens), line))
         elif _WORD_ID_RE.match(raw_id):
-            tokens.append(_parse_token(columns, lineno, len(tokens) + 1, lenient))
+            tokens.append(_parse_token(columns, lineno, len(tokens) + 1, lenient, unknown_tags))
         else:
             raise ConlluError(f"invalid token id {raw_id!r}", lineno)
 
     if comments or tokens or extras:
         yield flush(lineno + 1)
+    for code, (first_line, count) in unknown_tags.items():
+        logger.warning("unknown XPOS tag %r mapped to NA %d time(s), first on line %d",
+                       code, count, first_line)
 
 
 def parse_conllu(
@@ -407,20 +410,17 @@ def write_conllu(sentences: Iterable[Sentence], sink: TextIO) -> None:
 
 
 def _check_token(sid: str, token: Token, report) -> None:
-    segments = token.lemma_segments
-    tags = token.tag_codes
-    if len(segments) != len(tags):
-        report(
-            token.id,
-            "morph-alignment",
-            f"morpheme/tag misalignment: {len(segments)} lemma segment(s) "
-            f"vs {len(tags)} XPOS tag(s)",
-        )
+    # the raw columns, not token.morphemes: a misaligned token is reported
+    segments, tags = _split_plus(token.lemma), _split_plus(token.xpos)
+    problem = _misalignment(segments, tags, lenient=False)
+    if problem:
+        report(token.id, "morph-alignment", problem)
     for code in tags:
         if code not in SEJONG_TAGS:
             report(token.id, "xpos-tag", f"unknown XPOS tag {code!r}")
     for surface in segments:
-        if surface == "" or "+" in surface or "\t" in surface:
+        # a surface holds "+" only as the whole literal-plus lemma
+        if surface == "" or "\t" in surface:
             report(token.id, "morpheme-surface", f"invalid morpheme surface {surface!r}")
     if token.upos not in UPOS_TAGS:
         report(token.id, "upos-value", f"invalid UPOS {token.upos!r}")

@@ -78,14 +78,13 @@ def _first_content_index(token: Token) -> int | None:
 
 
 def _set_tag(token: Token, index: int, tag: str) -> Token:
-    tags = list(token.tag_codes)
+    tags = [m.tag for m in token.morphemes]
     tags[index] = tag
     return replace(token, xpos="+".join(tags))
 
 
 def _is_complement_head(token: Token) -> bool:
-    morphemes = token.morphemes
-    return bool(morphemes) and morphemes[0].surface in _COMPLEMENT_STEMS
+    return bool(token.morphemes) and token.morphemes[0].surface in _COMPLEMENT_STEMS
 
 
 def correct_token(
@@ -140,7 +139,7 @@ def correct_token(
         token = replace(token, upos=upos)
 
     # 3. XR is a noun fragment: normalize word-initial XR to NNG
-    tags = token.tag_codes
+    tags = [m.tag for m in token.morphemes]
     if tags and tags[0] == "XR" and (len(tags) == 1 or tags[1] in ("XSA", "XSN", "XSV")):
         old_xpos = token.xpos
         token = _set_tag(token, 0, "NNG")
@@ -154,8 +153,7 @@ def correct_token(
             head_token = sentence.tokens[token.head - 1]
         else:
             for following in sentence.tokens[token.id:]:
-                first = following.morphemes[0] if following.morphemes else None
-                if first is not None and first.tag in _PREDICATE_TAGS:
+                if following.morphemes and following.morphemes[0].tag in _PREDICATE_TAGS:
                     head_token = following
                     break
         if head_token is not None and _is_complement_head(head_token):

@@ -2,6 +2,7 @@
 per-feature-family fixture table used by the rule and acceptance tests."""
 
 import pytest
+from hypothesis import strategies as st
 
 from udmorph.conllu import FeatureBag, Sentence, Token
 from udmorph.rules import load_default_pack
@@ -19,6 +20,19 @@ FIG1_CONLLU = (
 )
 
 FIG1_FEATS = ["_", "Case=Disj", "Case=Nom", "_", "Mood=Ind", "_"]
+
+# Model output for property tests: arbitrary text, or lines that are either
+# FIG1's gold rows or cells joined by tabs or spaces, often carrying FIG1's
+# ids, heads and deprels.
+_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "2", "5", "6", "7", "01", "_", "root", "flat", "nsubj"]),
+    st.text(max_size=3),
+)
+_ROW_LINES = st.one_of(
+    st.sampled_from([line.rsplit("\t", 2)[0] for line in FIG1_CONLLU.splitlines()[2:-1]]),
+    st.builds(str.join, st.sampled_from(["\t", " "]), st.lists(_CELLS, max_size=9)),
+)
+PREDICTION_TEXT = st.one_of(st.text(), st.lists(_ROW_LINES, max_size=8).map("\n".join))
 
 
 @pytest.fixture(scope="session")

@@ -128,14 +128,17 @@ def test_enrich_output_validates_for_non_hangul_ending(tmp_path):
 
 
 def test_lenient_token_without_lemma_passes_every_stage(tmp_path):
-    text = "1\t학교\t_\tNOUN\tNNG\t_\t0\troot\t_\t_\n\n"
-    src = _write(tmp_path / "in.conllu", text)
-    enriched, corrected, records = (tmp_path / n for n in ("enriched", "corrected", "it.jsonl"))
-    assert main(["enrich", src, "--lenient", "-o", str(enriched)]) == 0
-    assert main(["correct", str(enriched), "--lenient", "-o", str(corrected)]) == 0
-    assert main(["convert-it", str(corrected), "--lenient", "-o", str(records)]) == 0
-    assert corrected.read_text(encoding="utf-8") == text
-    assert json.loads(records.read_text(encoding="utf-8"))["output"] == "1\t학교\t_\tNOUN\tNNG\t_\t0\troot\n"
+    # XR is the tag the xr-noun correction would otherwise rewrite
+    for tag in ("NNG", "XR"):
+        text = f"1\t학교\t_\tNOUN\t{tag}\t_\t0\troot\t_\t_\n\n"
+        src = _write(tmp_path / "in.conllu", text)
+        enriched, corrected, records = (tmp_path / n for n in ("enriched", "corrected", "it.jsonl"))
+        assert main(["enrich", src, "--lenient", "-o", str(enriched)]) == 0
+        assert main(["correct", str(enriched), "--lenient", "-o", str(corrected)]) == 0
+        assert main(["convert-it", str(corrected), "--lenient", "-o", str(records)]) == 0
+        assert corrected.read_text(encoding="utf-8") == text
+        output = json.loads(records.read_text(encoding="utf-8"))["output"]
+        assert output == f"1\t학교\t_\tNOUN\t{tag}\t_\t0\troot\n"
 
 
 def test_correct_writes_log_and_stats(tmp_path, capsys):

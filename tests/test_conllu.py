@@ -65,12 +65,48 @@ def test_lenient_empty_lemma_has_no_morphemes():
         mismatched.morphemes
 
 
+def test_morphemes_follow_replace_after_first_read():
+    token = parse_conllu(FIG1_CONLLU)[0].tokens[1]
+    assert token.morphemes == (("분위기", "NNG"), ("나", "JC"))
+    assert token.morphemes is token.morphemes
+    retagged = replace(token, xpos="NNG+JX")
+    assert retagged.morphemes == (("분위기", "NNG"), ("나", "JX"))
+    relemmatized = replace(token, lemma="분위+기")
+    assert relemmatized.morphemes == (("분위", "NNG"), ("기", "JC"))
+    assert token.morphemes == (("분위기", "NNG"), ("나", "JC"))
+    with pytest.raises(ValueError, match="misalignment: 3 lemma segment"):
+        replace(token, lemma="분+위기+나").morphemes
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_token_copies_and_pickles(read_first):
+    token = parse_conllu(FIG1_CONLLU)[0].tokens[1]
+    if read_first:
+        token.morphemes
+    for twin in (copy.copy(token), copy.deepcopy(token), pickle.loads(pickle.dumps(token))):
+        assert twin == token
+        assert twin.morphemes == token.morphemes == (("분위기", "NNG"), ("나", "JC"))
+
+
 def test_unknown_tag_strict_vs_lenient():
     text = "1\t학교\t학교\tNOUN\tZZZ\t_\t0\troot\t_\t_\n\n"
     with pytest.raises(ConlluError, match="unknown XPOS tag 'ZZZ'"):
         parse_conllu(text)
     sentences = parse_conllu(text, lenient=True)
     assert sentences[0].tokens[0].xpos == "NA"
+
+
+def test_lenient_unknown_tag_is_logged_once_with_its_count(caplog):
+    text = (
+        "1\t학교\t학교\tNOUN\tZZZ\t_\t0\troot\t_\t_\n"
+        "2\t분위기나\t분위기+나\tNOUN\tZZZ+JC\t_\t1\tflat\t_\t_\n"
+        "3\t좋다\t좋+다\tADJ\tZZZ+EF\t_\t1\tdep\t_\t_\n\n"
+    )
+    with caplog.at_level("WARNING", logger="udmorph"):
+        sentences = parse_conllu(text, lenient=True)
+    assert [t.xpos for t in sentences[0].tokens] == ["NA", "NA+JC", "NA+EF"]
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["unknown XPOS tag 'ZZZ' mapped to NA 3 time(s), first on line 1"]
 
 
 def test_non_contiguous_ids_rejected():
@@ -204,3 +240,4 @@ def test_literal_plus_token():
     sentences = parse_conllu(text)
     assert sentences[0].tokens[0].morphemes == (("+", "SW"),)
     assert serialize_conllu(sentences) == text
+    assert validate(sentences) == []

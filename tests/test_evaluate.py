@@ -2,11 +2,13 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIG1_CONLLU, make_sentence
+from conftest import FIG1_CONLLU, PREDICTION_TEXT, make_sentence
 from udmorph.conllu import parse_conllu
 from udmorph.evaluate import EvalError, EvalReport, compare, format_report, score
-from udmorph.itdata import ParsedRow
+from udmorph.itdata import ParsedRow, from_it_output
 
 
 def _gold_rows(sentence):
@@ -148,3 +150,11 @@ def test_half_up_rounding():
     assert EvalReport(6, 5, 0).uas == 83.33
     assert EvalReport(16, 1, 0).uas == 6.25
     assert EvalReport(32, 1, 0).uas == 3.13  # 3.125 rounds half-up
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=PREDICTION_TEXT, exclude_punct=st.booleans())
+def test_score_never_raises_on_arbitrary_text(text, exclude_punct):
+    report = score([_fig1()], [from_it_output(text)], exclude_punct=exclude_punct)
+    assert report.both_correct <= report.head_correct <= report.total_tokens
+    assert report.missing_gold_rows <= report.total_tokens

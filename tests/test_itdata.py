@@ -2,8 +2,9 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import FIG1_CONLLU, make_sentence
+from conftest import FIG1_CONLLU, PREDICTION_TEXT, make_sentence
 from udmorph.conllu import Sentence, parse_conllu
 from udmorph.itdata import (
     DEFAULT_INSTRUCTION,
@@ -115,3 +116,12 @@ def test_prediction_blocks_split_on_blank_lines():
     assert len(blocks) == 2
     assert len(blocks[0]) == 6
     assert blocks[1] == [ParsedRow(1, 0, "root")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=PREDICTION_TEXT)
+def test_prediction_readers_never_raise_and_keep_positive_ids(text):
+    rows = from_it_output(text)
+    blocks = read_prediction_blocks(text)
+    assert all(row.id >= 1 for row in rows)
+    assert all(row.id >= 1 for block in blocks for row in block)

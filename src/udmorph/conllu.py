@@ -264,7 +264,10 @@ def _parse_token(
     columns: list[str], lineno: int, expected_id: int, lenient: bool, unknown_tags: dict
 ) -> Token:
     raw_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
-    token_id = int(raw_id)
+    try:
+        token_id = int(raw_id)
+    except ValueError:  # more digits than int() converts
+        raise ConlluError(f"invalid token id: {len(raw_id)} digits", lineno) from None
     if token_id != expected_id:
         raise ConlluError(
             f"non-contiguous token ids: expected {expected_id}, got {token_id}", lineno
@@ -289,7 +292,10 @@ def _parse_token(
     if head == "_":
         head_value: int | None = None
     elif head == "0" or _WORD_ID_RE.match(head):
-        head_value = int(head)
+        try:
+            head_value = int(head)
+        except ValueError:  # more digits than int() converts
+            raise ConlluError(f"invalid HEAD value: {len(head)} digits", lineno) from None
     else:
         raise ConlluError(f"invalid HEAD value {head!r}", lineno)
 

@@ -10,6 +10,7 @@ index where the output block starts, i.e. the loss-mask boundary.
 `from_it_output` reads generated text back leniently: any line whose first
 whitespace- or tab-separated field is a positive integer counts as a row,
 and unparsable head/deprel cells are recorded as absent rather than raised.
+A number too long to convert reads as one past every sentence.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .conllu import Sentence, Token
 DEFAULT_INSTRUCTION = "아래의 문장을 의존구조문법에 맞게 분석해줘"
 
 _INT_RE = re.compile(r"[0-9]+\Z")
+# A cell with more significant digits reads as _TOO_LARGE, which is past every
+# sentence: such an id is a stray row and such a head matches no token.
+_MAX_DIGITS = 100
+_TOO_LARGE = 10**_MAX_DIGITS
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,12 @@ def to_it_record(sentence: Sentence, instruction: str = DEFAULT_INSTRUCTION) -> 
     )
 
 
+def _long_int(cell: str) -> int:
+    """The value of a cell of more than _MAX_DIGITS digits, leading zeros ignored."""
+    digits = cell.lstrip("0")
+    return int(digits or "0") if len(digits) <= _MAX_DIGITS else _TOO_LARGE
+
+
 def from_it_output(text: str) -> list[ParsedRow]:
     """Best-effort row extraction from (possibly degraded) generated text."""
     rows: list[ParsedRow] = []
@@ -85,17 +96,20 @@ def from_it_output(text: str) -> list[ParsedRow]:
             continue
         fields = line.split("\t") if "\t" in line else line.split()
         first = fields[0].strip()
-        if not _INT_RE.match(first) or int(first) < 1:
+        if not _INT_RE.match(first):
+            continue
+        row_id = int(first) if len(first) <= _MAX_DIGITS else _long_int(first)
+        if row_id < 1:
             continue
         head: int | None = None
+        if len(fields) > 6 and _INT_RE.match(cell := fields[6].strip()):
+            head = int(cell) if len(cell) <= _MAX_DIGITS else _long_int(cell)
         deprel: str | None = None
-        if len(fields) > 6 and _INT_RE.match(fields[6].strip()):
-            head = int(fields[6].strip())
         if len(fields) > 7:
             value = fields[7].strip()
             if value and value != "_":
                 deprel = value
-        rows.append(ParsedRow(id=int(first), head=head, deprel=deprel))
+        rows.append(ParsedRow(id=row_id, head=head, deprel=deprel))
     return rows
 
 

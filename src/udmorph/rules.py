@@ -4,7 +4,9 @@ Rules live in a line-oriented pack file (see `load_rule_pack`) and fire on
 (surface, tag) morpheme evidence only, never on existing features, which
 makes feature assignment a pure, idempotent function of the sentence and
 the pack.  A pack holds its rules in resolution order (higher priority
-first, ties broken by rule id), and one scan over them resolves two passes:
+first, ties broken by rule id) and indexes them by anchor tag, so a rule is
+tried only on words holding one of its anchor tags; the rules a word can
+match keep that order, and one scan over them resolves two passes:
 
 pass 1 - word-internal rules (no cross-token context); per feature key the
          first matching rule wins.
@@ -125,6 +127,22 @@ class RulePack:
     def __post_init__(self):
         ordered = tuple(sorted(self.rules, key=lambda r: (-r.priority, r.id)))
         object.__setattr__(self, "rules", ordered)
+        by_tag: dict[str, list[int]] = {}
+        for position, rule in enumerate(ordered):
+            for tag in rule.tags:
+                by_tag.setdefault(tag, []).append(position)
+        object.__setattr__(self, "_positions_by_tag", by_tag)
+        object.__setattr__(self, "_candidates_by_tags", {})
+
+    def candidates(self, tags: frozenset[str]) -> tuple[Rule, ...]:
+        """The rules anchored on any of `tags`, in pack order; cached per tag set,
+        so the cache holds at most one tuple per tag combination of the input."""
+        found = self._candidates_by_tags.get(tags)
+        if found is None:
+            positions = {p for tag in tags for p in self._positions_by_tag.get(tag, ())}
+            found = tuple(self.rules[p] for p in sorted(positions))
+            self._candidates_by_tags[tags] = found
+        return found
 
 
 def _parse_alternation(text: str) -> frozenset[str] | None:
@@ -334,7 +352,7 @@ def assign_token_features(token: Token, pack: RulePack, sentence: Sentence, inde
     morphemes = token.morphemes
     internal: dict[str, Rule] = {}
     context: dict[str, Rule] = {}
-    for rule in pack.rules:
+    for rule in pack.candidates(frozenset(m.tag for m in morphemes)):
         if not rule.matches_word(morphemes):
             continue
         if not rule.context:
@@ -361,18 +379,21 @@ def assign_features(sentence: Sentence, pack: RulePack) -> Sentence:
     return replace(sentence, tokens=tokens)
 
 
+def _ending_transcription(morphemes: tuple[Morpheme, ...]) -> tuple[str, str] | None:
+    if not morphemes or morphemes[-1].tag != "EC":
+        return None
+    value = _NON_FEAT_CHARS.sub("", romanize(morphemes[-1].surface))
+    return ("Case", value) if value else None
+
+
 def transcribe_ending(token: Token) -> tuple[str, str] | None:
     """Surface transcription for otherwise featureless conjunctive endings.
 
     Characters that a FEATS value cannot hold are dropped; an ending with
     nothing left gets no transcription."""
-    morphemes = token.morphemes
-    if not morphemes or morphemes[-1].tag != "EC":
-        return None
     if token.feats:
         return None
-    value = _NON_FEAT_CHARS.sub("", romanize(morphemes[-1].surface))
-    return ("Case", value) if value else None
+    return _ending_transcription(token.morphemes)
 
 
 def tag_functional(token: Token, pack: RulePack) -> bool:
@@ -399,14 +420,12 @@ def _misc_with_flag(misc: str, key: str, value: str) -> str:
 def enrich_sentence(sentence: Sentence, pack: RulePack) -> Sentence:
     """Full enrichment: rule features, ending transcription, functional flags."""
     enriched = assign_features(sentence, pack)
-    tokens = []
-    for token in enriched.tokens:
-        feats = token.feats
-        transcription = transcribe_ending(token)
+    tokens = list(enriched.tokens)
+    # Read the input tokens, whose morphemes the rule pass has already split.
+    for i, token in enumerate(sentence.tokens):
+        transcription = None if tokens[i].feats else _ending_transcription(token.morphemes)
         if transcription is not None:
-            feats = FeatureBag({transcription[0]: (transcription[1],)})
-        misc = token.misc
+            tokens[i] = replace(tokens[i], feats=FeatureBag({transcription[0]: (transcription[1],)}))
         if tag_functional(token, pack):
-            misc = _misc_with_flag(misc, "Functional", "Yes")
-        tokens.append(replace(token, feats=feats, misc=misc))
+            tokens[i] = replace(tokens[i], misc=_misc_with_flag(token.misc, "Functional", "Yes"))
     return replace(enriched, tokens=tuple(tokens))

@@ -23,10 +23,17 @@ FIG1_FEATS = ["_", "Case=Disj", "Case=Nom", "_", "Mood=Ind", "_"]
 
 # Model output for property tests: arbitrary text, or lines that are either
 # FIG1's gold rows or cells joined by tabs or spaces, often carrying FIG1's
-# ids, heads and deprels.
+# ids, heads and deprels, and numbers too long for int() to convert.
+_LONG_NUMBERS = st.builds(
+    lambda zeros, digit, count: "0" * zeros + digit * count,
+    st.sampled_from([0, 1, 5000]),
+    st.sampled_from("19"),
+    st.sampled_from([1, 30, 5000]),
+)
 _CELLS = st.one_of(
     st.sampled_from(["0", "1", "2", "5", "6", "7", "01", "_", "root", "flat", "nsubj"]),
     st.text(max_size=3),
+    _LONG_NUMBERS,
 )
 _ROW_LINES = st.one_of(
     st.sampled_from([line.rsplit("\t", 2)[0] for line in FIG1_CONLLU.splitlines()[2:-1]]),

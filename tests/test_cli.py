@@ -97,6 +97,16 @@ def test_format_errors_exit_2(tmp_path, capsys):
             "line 1: total_tokens must be an integer",
         ),
         (["validate", "in.conllu"], {"in.conllu": b"1\t\xff\n\n"}, "'utf-8' codec"),
+        (
+            ["validate", "in.conllu"],
+            {"in.conllu": f"1\t하나\t하나\tNUM\tNR\t_\t{'1' * 5000}\troot\t_\t_\n\n"},
+            "line 1: invalid HEAD value: 5000 digits",
+        ),
+        (
+            ["enrich", "in.conllu"],
+            {"in.conllu": f"{'1' * 5000}\t하나\t하나\tNUM\tNR\t_\t0\troot\t_\t_\n\n"},
+            "line 1: invalid token id: 5000 digits",
+        ),
     ],
     ids=[
         "head",
@@ -106,6 +116,8 @@ def test_format_errors_exit_2(tmp_path, capsys):
         "log-token-id",
         "log-total",
         "not-utf8",
+        "head-too-many-digits",
+        "id-too-many-digits",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, files, message):

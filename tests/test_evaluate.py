@@ -158,3 +158,19 @@ def test_score_never_raises_on_arbitrary_text(text, exclude_punct):
     report = score([_fig1()], [from_it_output(text)], exclude_punct=exclude_punct)
     assert report.both_correct <= report.head_correct <= report.total_tokens
     assert report.missing_gold_rows <= report.total_tokens
+
+
+@pytest.mark.parametrize(
+    "cell", ["1" * 5000, "0" * 5000 + "9" * 5000], ids=["digits", "zeros-then-digits"]
+)
+def test_too_long_number_scores_like_any_number_past_the_sentence(cell):
+    rows = [line.rsplit("\t", 2)[0] for line in FIG1_CONLLU.splitlines()[2:-1]]
+
+    def report(number):
+        head_row = rows[0].split("\t")
+        head_row[6] = number
+        text = "\n".join(["\t".join(head_row), *rows[1:], f"{number}\tx\tx\tX\tNA\t_\t1\tdep"])
+        return format_report(score([_fig1()], [from_it_output(text)]))
+
+    assert report(cell) == report("9" * 30)
+    assert "unmatched\t1\n" in report(cell)

@@ -1,0 +1,81 @@
+"""Golden-output guard: `enrich`, `correct --aux --records` and `convert-it`
+on a corpus of every feature-family fixture, one featureless conjunctive
+ending (the only transcription) and FIG1, run through
+`python -m udmorph`, must write exactly the bytes under `tests/golden/`.
+
+Regenerate the files with `PYTHONPATH=src python tests/test_golden.py` only
+when an output change is intended, and review the diff."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import udmorph
+from conftest import FAMILY_FIXTURES, FIG1_CONLLU, make_sentence
+from udmorph.conllu import serialize_conllu
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# family-03 is Case=Abl (학교에서, NNG+JKB), family-25 is Mood=Opt
+# (행복하길, VA+ETN+JKO), fixture-1 token 1 is 학교 (NNG).
+AUX = (
+    "family-03\t1\tLOC\t_\n"  # NNG with a NER label: ner-propn
+    "family-25\t1\t_\tVA\n"  # one external tag for three morphemes: ext-xpos collapse
+    "fixture-1\t1\t_\tNNP\n"  # ext-xpos to NNP, then no NER label: ner-common
+)
+# No rule fires on 다가, so enrich transcribes it as Case=daga.
+TRANSCRIBED = [("가다가", "가+다가", "VV+EC", "VERB"), ("넘어졌다", "넘어지+었+다", "VV+EP+EF", "VERB")]
+OUTPUTS = ("enriched.conllu", "corrected.conllu", "corrections.tsv", "it.jsonl")
+
+
+def corpus() -> str:
+    sentences = [
+        make_sentence(words, sent_id=f"family-{i:02d}")
+        for i, (_, words, *_) in enumerate(FAMILY_FIXTURES)
+    ]
+    sentences.append(make_sentence(TRANSCRIBED, sent_id="transcribed"))
+    return serialize_conllu(sentences) + FIG1_CONLLU
+
+
+def run_stages(workdir: Path) -> dict[str, bytes]:
+    """Run the three stages in `workdir`; returns each output's bytes."""
+    (workdir / "corpus.conllu").write_text(corpus(), encoding="utf-8")
+    (workdir / "aux.tsv").write_text(AUX, encoding="utf-8")
+    env = dict(os.environ)
+    package_root = str(Path(udmorph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    for args in (
+        ["enrich", "corpus.conllu", "-o", "enriched.conllu"],
+        ["correct", "enriched.conllu", "--aux", "aux.tsv", "--records", "corrections.tsv",
+         "-o", "corrected.conllu"],
+        ["convert-it", "corrected.conllu", "-o", "it.jsonl"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "udmorph", *args],
+            cwd=workdir,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, f"udmorph {args[0]} exited {result.returncode}: {result.stderr}"
+    return {name: (workdir / name).read_bytes() for name in OUTPUTS}
+
+
+def test_outputs_match_golden_bytes(tmp_path):
+    outputs = run_stages(tmp_path)
+    log = outputs["corrections.tsv"].decode("utf-8").splitlines()
+    fired = {line.split("\t")[-1] for line in log if not line.startswith("#")}
+    assert {"ext-xpos", "ner-propn", "ner-common"} <= fired
+    for name, data in outputs.items():
+        assert data == (GOLDEN / name).read_bytes(), f"{name} differs from tests/golden/{name}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        GOLDEN.mkdir(exist_ok=True)
+        for name, data in run_stages(Path(workdir)).items():
+            (GOLDEN / name).write_bytes(data)
+            print(f"wrote {GOLDEN / name} ({len(data)} bytes)")

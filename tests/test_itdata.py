@@ -118,6 +118,11 @@ def test_prediction_blocks_split_on_blank_lines():
     assert blocks[1] == [ParsedRow(1, 0, "root")]
 
 
+def test_leading_zeros_are_ignored_however_many():
+    row = "0" * 5000 + "1\tx\tx\tX\tNA\t_\t" + "0" * 5000 + "2\tdep"
+    assert from_it_output(row) == [ParsedRow(1, 2, "dep")]
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=PREDICTION_TEXT)
 def test_prediction_readers_never_raise_and_keep_positive_ids(text):

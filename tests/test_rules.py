@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_FIXTURES, make_sentence
+from udmorph import conllu
 from udmorph.conllu import FeatureBag, Token, parse_conllu, serialize_conllu, validate
 from udmorph.rules import (
     PACK_HEADER,
@@ -256,6 +257,35 @@ def test_single_pass_matches_two_scan_resolver_in_any_rule_order(pack, data):
     shuffled = replace(pack, rules=tuple(data.draw(st.permutations(pack.rules))))
     assert shuffled.rules == pack.rules
     assert [t.feats for t in assign_features(sentence, shuffled).tokens] == feats
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_candidates_are_the_rules_anchored_on_the_tags_in_pack_order(pack, data):
+    subset = data.draw(st.lists(st.sampled_from(pack.rules), unique=True))
+    anchors = sorted({tag for rule in pack.rules for tag in rule.tags} | {"SF", "NA"})
+    tag_sets = st.frozensets(st.sampled_from(anchors), max_size=4)
+    for candidate_pack in (pack, replace(pack, rules=tuple(subset))):
+        # several tag sets per pack, so one cached entry can answer for another
+        for tags in data.draw(st.lists(tag_sets, min_size=1, max_size=8)):
+            expected = tuple(r for r in candidate_pack.rules if r.tags & tags)
+            assert candidate_pack.candidates(tags) == expected
+
+
+def test_enrich_splits_each_tokens_morphemes_once(pack, monkeypatch):
+    sentences = [make_sentence(words) for _, words, *_ in FAMILY_FIXTURES]
+    calls = []
+
+    def counting_split(raw):
+        calls.append(raw)
+        return split(raw)
+
+    split = conllu._split_plus
+    monkeypatch.setattr(conllu, "_split_plus", counting_split)
+    for sentence in sentences:
+        enrich_sentence(sentence, pack)
+    # one call for LEMMA and one for XPOS per token
+    assert len(calls) == 2 * sum(len(s.tokens) for s in sentences)
 
 
 # ----------------------------------------------------- transcription and MISC

@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 validation failure, 2 I/O or format error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -134,9 +133,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         failures = 0
         for index, sentence in enumerate(_stream_sentences(stack, args), start=1):
-            for diagnostic in conllu.validate([sentence]):
-                if sentence.sent_id is None:
-                    diagnostic = dataclasses.replace(diagnostic, sent_id=str(index))
+            for diagnostic in conllu.validate([sentence], start=index):
                 print(diagnostic, file=sys.stderr)
                 failures += 1
     return 1 if failures else 0

@@ -13,12 +13,16 @@ import io
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 logger = logging.getLogger("udmorph")
 
 COLUMN_COUNT = 10
+
+# Distinct FEATS cells kept parsed, least recently used dropped first: a
+# fixed bound, so a stream of ever new cells cannot grow memory.
+FEATS_MEMO_SIZE = 4096
 
 # Sejong morpheme tag inventory (closed set).
 SEJONG_TAGS = frozenset(
@@ -142,20 +146,30 @@ class FeatureBag:
 
     @classmethod
     def from_conllu(cls, text: str, line: int | None = None) -> "FeatureBag":
-        if text in ("", "_"):
-            return cls()
-        entries: dict[str, list[str]] = {}
-        for item in text.split("|"):
-            key, sep, value = item.partition("=")
-            if not sep or not key or not value:
-                raise ConlluError(f"invalid FEATS syntax: {item!r}", line)
-            if not _FEAT_KEY_RE.match(key):
-                raise ConlluError(f"invalid FEATS key: {key!r}", line)
-            for v in value.split(","):
-                if not _FEAT_VALUE_RE.match(v):
-                    raise ConlluError(f"invalid FEATS value: {v!r}", line)
-                entries.setdefault(key, []).append(v)
-        return cls(entries)
+        """The bag for a FEATS cell, shared by every equal cell; a bad cell
+        raises `ConlluError` naming `line` and is not remembered."""
+        try:
+            return _parse_feats(text)
+        except ConlluError as error:
+            raise ConlluError(str(error), line) from None
+
+
+@lru_cache(maxsize=FEATS_MEMO_SIZE)
+def _parse_feats(text: str) -> FeatureBag:
+    if text in ("", "_"):
+        return FeatureBag()
+    entries: dict[str, list[str]] = {}
+    for item in text.split("|"):
+        key, sep, value = item.partition("=")
+        if not sep or not key or not value:
+            raise ConlluError(f"invalid FEATS syntax: {item!r}")
+        if not _FEAT_KEY_RE.match(key):
+            raise ConlluError(f"invalid FEATS key: {key!r}")
+        for v in value.split(","):
+            if not _FEAT_VALUE_RE.match(v):
+                raise ConlluError(f"invalid FEATS value: {v!r}")
+            entries.setdefault(key, []).append(v)
+    return FeatureBag(entries)
 
 
 class Morpheme(NamedTuple):
@@ -316,7 +330,8 @@ def _parse_token(
 def iter_sentences(
     source: str | TextIO, *, lenient: bool = False, strip_bom: bool = False
 ) -> Iterator[Sentence]:
-    """Stream sentences from CoNLL-U text; memory stays bounded per sentence.
+    """Stream sentences from CoNLL-U text.  Memory holds one sentence plus
+    the parsed FEATS memo, which keeps at most `FEATS_MEMO_SIZE` cells.
 
     Under `lenient`, each unknown XPOS tag is logged once, at the end."""
     stream = io.StringIO(source) if isinstance(source, str) else source
@@ -438,10 +453,40 @@ def _check_token(sid: str, token: Token, report) -> None:
                 report(token.id, "feats-syntax", f"invalid feature value {v!r}")
 
 
-def validate(sentences: Iterable[Sentence]) -> list[Diagnostic]:
-    """Check every sentence/token/feature invariant; diagnostics, not raises."""
+def _cycle_entries(heads: dict[int, int | None]) -> dict[int, int | None]:
+    """For each token id, the first node its walk up `heads` visits twice,
+    or None when the walk ends at 0, a missing head or an id outside the
+    sentence.  Each node is walked once: a node on a cycle is its own entry,
+    and a tail node has the entry of the node it heads into."""
+    entries: dict[int, int | None] = {}
+    for start in heads:
+        path: list[int] = []
+        on_path: set[int] = set()
+        node = start
+        while node != 0 and node in heads and node not in entries and node not in on_path:
+            path.append(node)
+            on_path.add(node)
+            node = heads[node]
+        if node in on_path:
+            first = path.index(node)
+            for member in path[first:]:
+                entries[member] = member
+            del path[first:]
+            reached = node
+        else:
+            reached = entries.get(node)
+        for member in path:
+            entries[member] = reached
+    return entries
+
+
+def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
+    """Check every sentence/token/feature invariant; diagnostics, not raises.
+
+    A sentence without a `sent_id` is named by its position, counted from
+    `start`.  Linear in each sentence's length."""
     diagnostics: list[Diagnostic] = []
-    for index, sentence in enumerate(sentences, start=1):
+    for index, sentence in enumerate(sentences, start=start):
         sid = sentence.sent_id or str(index)
 
         def report(token_id: int | None, rule: str, message: str, _sid=sid):
@@ -471,14 +516,9 @@ def validate(sentences: Iterable[Sentence]) -> list[Diagnostic]:
             if token.head not in (0, None) and not token.deprel:
                 report(token.id, "deprel-missing", "missing DEPREL value")
 
-        heads = {t.id: t.head for t in sentence.tokens}
+        entries = _cycle_entries({t.id: t.head for t in sentence.tokens})
         for token in sentence.tokens:
-            seen = set()
-            node: int | None = token.id
-            while node not in (0, None):
-                if node in seen:
-                    report(token.id, "head-cycle", f"head cycle through token {node}")
-                    break
-                seen.add(node)
-                node = heads.get(node)
+            through = entries.get(token.id)
+            if through is not None:
+                report(token.id, "head-cycle", f"head cycle through token {through}")
     return diagnostics

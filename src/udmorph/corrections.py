@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
-from .conllu import CANONICAL_UPOS, SEJONG_TAGS, Sentence, Token, canonical_upos
+from .conllu import CANONICAL_UPOS, SEJONG_TAGS, Sentence, Token, _split_plus, canonical_upos
 from .rules import RulePack
 
 
@@ -83,6 +83,12 @@ def _set_tag(token: Token, index: int, tag: str) -> Token:
     return replace(token, xpos="+".join(tags))
 
 
+def _reads_as_one_morpheme(form: str) -> bool:
+    """True iff FORM, written as LEMMA, reads back as exactly one segment
+    ("_" reads back as an empty LEMMA)."""
+    return form != "_" and len(_split_plus(form)) == 1
+
+
 def _is_complement_head(token: Token) -> bool:
     return bool(token.morphemes) and token.morphemes[0].surface in _COMPLEMENT_STEMS
 
@@ -106,7 +112,7 @@ def correct_token(
                 if new_xpos != token.xpos:
                     record("XPOS", token.xpos, new_xpos, "ext-xpos")
                     token = replace(token, xpos=new_xpos)
-            elif len(aux.ext_xpos) == 1:
+            elif len(aux.ext_xpos) == 1 and _reads_as_one_morpheme(token.form):
                 # collapse a spurious segmentation: the word is one unit
                 if token.lemma != token.form:
                     record("LEMMA", token.lemma, token.form, "ext-xpos")

@@ -1,10 +1,11 @@
-"""Shared fixtures: the reference sentence, sentence builders, and the
-per-feature-family fixture table used by the rule and acceptance tests."""
+"""Shared fixtures: the reference sentence, sentence builders, the
+per-feature-family fixture table used by the rule and acceptance tests, and
+hypothesis strategies for model output and for whole treebanks."""
 
 import pytest
 from hypothesis import strategies as st
 
-from udmorph.conllu import FeatureBag, Sentence, Token
+from udmorph.conllu import SEJONG_TAGS, UPOS_TAGS, FeatureBag, Sentence, Token
 from udmorph.rules import load_default_pack
 
 FIG1_CONLLU = (
@@ -146,3 +147,93 @@ FAMILY_FIXTURES = [
     ("Voice=Rcp", [("만났다", "만나+았+다", "VV+EP+EF", "VERB")], 0, "Voice", "Rcp"),
     ("Voice=Rfl", [("씻었다", "씻+었+다", "VV+EP+EF", "VERB")], 0, "Voice", "Rfl"),
 ]
+
+
+# Any text a LEMMA segment can hold: no tab, '+' or line break.
+SEGMENT_CHARS = st.characters(
+    exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters="+"
+)
+HANGUL = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
+# A lone "_" would read back as an empty LEMMA.
+_SURFACES = st.text(st.one_of(HANGUL, SEGMENT_CHARS), min_size=1, max_size=4).filter(
+    lambda s: s != "_"
+)
+_FORMS = st.text(st.one_of(HANGUL, SEGMENT_CHARS, st.just("+")), max_size=6)
+_FIXTURE_WORDS = sorted({word for _, words, *_ in FAMILY_FIXTURES for word in words})
+_ODD_WORDS = [
+    ("+", "+", "SW", "SYM"),  # the literal plus
+    ("1+2", "1+2", "SN+SN", "NUM"),
+    ("가다가", "가+다가-", "VV+EC", "VERB"),  # non-hangul ending surface
+    ("_", "_", "_", "X"),  # empty LEMMA and XPOS
+    ("a++b", "a++b", "SL+SW+SL", "X"),  # an empty morpheme surface
+]
+_DEPRELS = ["dep", "nsubj", "obj", "advmod", "flat", "acl:relcl", "punct", "root", "_"]
+_FEATS = st.dictionaries(
+    st.sampled_from(["Case", "Mood", "Number", "NumType", "Person[psor]", "Tense"]),
+    st.lists(st.sampled_from(["Nom", "Acc", "Ind", "Cnd", "Plur", "1", "seo"]), min_size=1, max_size=2),
+    max_size=3,
+).map(lambda entries: FeatureBag(entries).to_conllu())
+_DEPS = st.sampled_from(["_", "2:nsubj", "0:root|3:dep", "한"])
+_MISC = st.sampled_from(
+    ["_", "SpaceAfter=No", "Functional=Yes", "Functional=No|SpaceAfter=No",
+     "Functional=Yes|Functional=No", "a=b=c", "|", "", " ", "한국어"]
+)
+_COMMENTS = st.lists(
+    st.sampled_from(["# sent_id = s1", "# sent_id = s2", "# sent_id =", "# text = 학교 a+b", "#", "# newpar"]),
+    max_size=3,
+)
+
+
+@st.composite
+def _random_word(draw):
+    tags = draw(st.lists(st.sampled_from(sorted(SEJONG_TAGS)), min_size=1, max_size=4))
+    surfaces = draw(st.lists(_SURFACES, min_size=len(tags), max_size=len(tags)))
+    form = draw(st.one_of(st.just("".join(surfaces)), _FORMS))
+    return form, "+".join(surfaces), "+".join(tags), draw(st.sampled_from(sorted(UPOS_TAGS)))
+
+
+_WORDS = st.one_of(st.sampled_from(_FIXTURE_WORDS), st.sampled_from(_ODD_WORDS), _random_word())
+
+
+@st.composite
+def _sentence_block(draw):
+    words = draw(st.lists(_WORDS, min_size=1, max_size=12))
+    n = len(words)
+    # a tree: each word but the first of a random order attaches to one
+    # placed before it; then a few heads are overwritten with anything
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))] + 1
+    head_cells = [str(h) for h in heads]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        head_cells[i] = draw(st.one_of(st.just("_"), st.integers(0, n + 2).map(str)))
+    extras = {}
+    for position in draw(st.lists(st.integers(0, n), max_size=3)):
+        form = draw(_FORMS)
+        extras.setdefault(position, []).append(
+            draw(
+                st.sampled_from([
+                    f"{position + 1}-{position + 2}\t{form}\t_\t_\t_\t_\t_\t_\t_\t_",
+                    f"{position}.1\t{form}\t{form}\t_\t_\t_\t_\t_\t{position}:dep\t_",
+                ])
+            )
+        )
+    lines = draw(_COMMENTS)
+    for i, (form, lemma, xpos, upos) in enumerate(words):
+        lines += extras.get(i, [])
+        upos = draw(st.sampled_from([upos] * 8 + ["_", "Noun"]))
+        deprel = "root" if head_cells[i] == "0" else draw(st.sampled_from(_DEPRELS))
+        cells = (str(i + 1), form, lemma, upos, xpos, draw(_FEATS), head_cells[i], deprel,
+                 draw(_DEPS), draw(_MISC))
+        lines.append("\t".join(cells))
+    lines += extras.get(n, [])
+    return "".join(line + "\n" for line in lines) + "\n"
+
+
+# CoNLL-U text that parses strictly, written as udmorph writes it (canonical
+# FEATS, a blank line after each sentence): Sejong-tagged words from the
+# fixtures, odd words and random ones (non-hangul surfaces, forms holding
+# "+"), multiword ranges, empty nodes, odd MISC and comments, and heads that
+# form a tree unless a few were overwritten with "_", 0 or any id up to n + 2.
+SEJONG_TREEBANK = st.lists(_sentence_block(), min_size=1, max_size=3).map("".join)

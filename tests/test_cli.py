@@ -52,6 +52,19 @@ def test_validate_exit_codes(tmp_path):
     assert main(["validate", bad]) == 1
 
 
+def test_validate_names_a_sentence_with_empty_sent_id_by_its_position(tmp_path, capsys):
+    text = (
+        FIG1_CONLLU
+        + "1\t하나\t하나\tNUM\tNR\t_\t0\troot\t_\t_\n\n"
+        + "# sent_id =\n1\t하나\t하나\tNUM\tNR\t_\t1\tdep\t_\t_\n\n"
+    )
+    assert main(["validate", _write(tmp_path / "in.conllu", text)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "[root-count] 3: no root token (head == 0)",
+        "[head-cycle] 3:1: head cycle through token 1",
+    ]
+
+
 def test_format_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.conllu")
     assert main(["validate", missing]) == 2

@@ -4,9 +4,13 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIG1_CONLLU, make_sentence
+from conftest import FIG1_CONLLU, SEJONG_TREEBANK, make_sentence
+from udmorph import conllu
 from udmorph.conllu import (
+    FEATS_MEMO_SIZE,
     SEJONG_TAGS,
     UPOS_TAGS,
     ConlluError,
@@ -40,6 +44,12 @@ def test_parse_reference_sentence():
 
 def test_round_trip_is_byte_identical():
     assert serialize_conllu(parse_conllu(FIG1_CONLLU)) == FIG1_CONLLU
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SEJONG_TREEBANK)
+def test_parse_then_serialize_is_the_identity(text):
+    assert serialize_conllu(parse_conllu(text)) == text
 
 
 def test_column_count_error_names_line():
@@ -175,6 +185,45 @@ def test_feature_bag_copies_and_pickles():
     assert pickle.loads(pickle.dumps(bag)) == bag
 
 
+def test_equal_feats_cells_share_one_bag():
+    text = (
+        "1\t학교\t학교\tNOUN\tNNG\tCase=Nom\t2\tnsubj\t_\t_\n"
+        "2\t경관이\t경관+이\tNOUN\tNNG+JKS\tCase=Nom\t0\troot\t_\t_\n\n"
+    )
+    first, second = parse_conllu(text)[0].tokens
+    assert first.feats is second.feats
+    assert FeatureBag.from_conllu("Case=Nom") is first.feats
+    assert FeatureBag.from_conllu("_") is FeatureBag.from_conllu("_")
+
+
+def test_shared_feature_bag_copies_and_pickles():
+    shared = FeatureBag.from_conllu("Case=Nom|Mood=Cnd,Pot")
+    for twin in (copy.copy(shared), copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
+        assert twin == shared
+        assert twin.to_conllu() == "Case=Nom|Mood=Cnd,Pot"
+    assert FeatureBag.from_conllu("Case=Nom|Mood=Cnd,Pot") is shared
+
+
+def test_bad_feats_cell_names_each_line_it_appears_on():
+    line = "1\t학교\t학교\tNOUN\tNNG\tCase\t0\troot\t_\t_\n"
+    with pytest.raises(ConlluError, match=r"^line 1: invalid FEATS syntax: 'Case'$"):
+        parse_conllu(line + "\n")
+    with pytest.raises(ConlluError, match=r"^line 3: invalid FEATS syntax: 'Case'$"):
+        parse_conllu("# sent_id = a\n# text = 학교\n" + line + "\n")
+    with pytest.raises(ConlluError, match=r"^line 7: invalid FEATS value: 'N-m'$"):
+        FeatureBag.from_conllu("Case=N-m", 7)
+    with pytest.raises(ConlluError, match=r"^invalid FEATS value: 'N-m'$"):
+        FeatureBag.from_conllu("Case=N-m")
+
+
+def test_feats_memo_stays_within_its_size():
+    cells = [f"Case=V{i}" for i in range(FEATS_MEMO_SIZE + 50)]
+    bags = [FeatureBag.from_conllu(cell) for cell in cells]
+    assert conllu._parse_feats.cache_info().currsize <= FEATS_MEMO_SIZE
+    assert [bag.to_conllu() for bag in bags] == cells
+    assert FeatureBag.from_conllu(cells[0]).to_conllu() == cells[0]
+
+
 def test_validate_reference_sentence_is_clean():
     assert validate(parse_conllu(FIG1_CONLLU)) == []
 
@@ -204,6 +253,77 @@ def test_validate_root_deprel_consistency():
     rules_hit = {d.rule for d in validate([sentence])}
     assert "root-deprel" in rules_hit
     assert "head-cycle" in rules_hit  # token 2 heads itself
+
+
+def _walker_head_cycles(sentence):
+    """The per-token walk `validate` used before its cycle check was made
+    linear: the reference for the head-cycle diagnostics."""
+    sid = sentence.sent_id or "1"
+    heads = {t.id: t.head for t in sentence.tokens}
+    found = []
+    for token in sentence.tokens:
+        seen = set()
+        node = token.id
+        while node not in (0, None):
+            if node in seen:
+                found.append(f"[head-cycle] {sid}:{token.id}: head cycle through token {node}")
+                break
+            seen.add(node)
+            node = heads.get(node)
+    return found
+
+
+def _head_cycles(sentence):
+    return [str(d) for d in validate([sentence]) if d.rule == "head-cycle"]
+
+
+def test_head_cycle_names_the_first_node_each_walk_repeats():
+    # 1 -> 2 -> 3 -> 4 -> 5 -> 3 and 6 -> 4: two tails into the cycle 3, 4, 5
+    sentence = make_sentence(
+        [("학교", "학교", "NNG", "NOUN")] * 7, sent_id="t", heads=[2, 3, 4, 5, 3, 4, 0]
+    )
+    assert _head_cycles(sentence) == [
+        "[head-cycle] t:1: head cycle through token 3",
+        "[head-cycle] t:2: head cycle through token 3",
+        "[head-cycle] t:3: head cycle through token 3",
+        "[head-cycle] t:4: head cycle through token 4",
+        "[head-cycle] t:5: head cycle through token 5",
+        "[head-cycle] t:6: head cycle through token 4",
+    ]
+    assert _head_cycles(sentence) == _walker_head_cycles(sentence)
+
+
+@st.composite
+def _head_vectors(draw):
+    n = draw(st.integers(1, 60))
+    # ids 1..n, or any ids: repeated, out of order or 0
+    ids = draw(
+        st.one_of(
+            st.just(list(range(1, n + 1))),
+            st.lists(st.integers(0, n + 1), min_size=n, max_size=n),
+        )
+    )
+    if draw(st.booleans()):
+        # long tails: a head-final chain, some links then redrawn
+        heads = [i + 2 for i in range(n - 1)] + [0]
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            heads[i] = draw(st.integers(-1, n + 2))
+    else:
+        heads = draw(st.lists(st.one_of(st.none(), st.integers(-1, n + 2)), min_size=n, max_size=n))
+    return ids, heads
+
+
+@settings(max_examples=500, deadline=None)
+@given(vector=_head_vectors())
+def test_head_cycle_check_matches_the_per_token_walk(vector):
+    ids, heads = vector
+    sentence = Sentence(
+        tokens=tuple(
+            Token(id=i, form="x", lemma="x", xpos="NNG", upos="NOUN", head=h, deprel="dep")
+            for i, h in zip(ids, heads)
+        )
+    )
+    assert _head_cycles(sentence) == _walker_head_cycles(sentence)
 
 
 def test_validate_head_range():

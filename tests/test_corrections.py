@@ -1,8 +1,11 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_sentence
+from conftest import SEJONG_TREEBANK, make_sentence
+from udmorph.conllu import SEJONG_TAGS, parse_conllu, serialize_conllu, validate
 from udmorph.corrections import (
     AuxAnnotation,
     CorrectionError,
@@ -15,6 +18,7 @@ from udmorph.corrections import (
     read_records,
     write_records,
 )
+from udmorph.rules import enrich_sentence
 
 
 def test_temporal_noun_mislabeled_adv(pack):
@@ -132,6 +136,16 @@ def test_external_reanalysis_collapses_segmentation(pack):
     assert ("LEMMA", "중+이+ㄹ", "중일") in changes
     assert ("XPOS", "NNB+VCP+ETM", "NNP") in changes
     assert ("UPOS", "VERB", "PROPN") in changes
+
+
+@pytest.mark.parametrize("form", ["1+2", "_", ""])
+def test_external_reanalysis_keeps_a_form_no_lemma_can_hold(pack, form):
+    # as LEMMA this form would read back as 2 or 0 segments for 1 tag
+    sentence = make_sentence([(form, "1+2", "SN+SN", "NUM")], sent_id="s1")
+    aux = [AuxAnnotation("s1", 1, ext_xpos=("SN",))]
+    corrected, records = correct_sentence(sentence, aux, pack)
+    assert corrected == sentence
+    assert records == []
 
 
 def test_external_retagging_same_length(pack):
@@ -263,3 +277,29 @@ def test_sidecar_parsing():
     assert entries[2].ext_xpos == ("NNG", "JKS")
     with pytest.raises(CorrectionError, match="unknown XPOS tag"):
         read_aux_sidecar("s1\t1\t_\tZZZ\n")
+
+
+def _aux_entries(sentence):
+    tags = st.lists(st.sampled_from(sorted(SEJONG_TAGS)), min_size=1, max_size=3).map(tuple)
+    entry = st.builds(
+        AuxAnnotation,
+        sent_id=st.just(sentence.sent_id or ""),
+        token_id=st.integers(1, len(sentence.tokens)),
+        ner_label=st.sampled_from([None, "PER"]),
+        ext_xpos=st.one_of(st.none(), tags),
+    )
+    return st.lists(entry, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SEJONG_TREEBANK, data=st.data())
+def test_enrich_then_correct_output_reparses_and_stays_valid(pack, text, data):
+    sentences = parse_conllu(text)
+    written = serialize_conllu(
+        correct_sentence(enrich_sentence(s, pack), data.draw(_aux_entries(s)), pack)[0]
+        for s in sentences
+    )
+    reparsed = parse_conllu(written)
+    for before, after in zip(sentences, reparsed, strict=True):
+        if not validate([before]):
+            assert validate([after]) == []

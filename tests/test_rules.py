@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_FIXTURES, make_sentence
+from conftest import FAMILY_FIXTURES, HANGUL, SEGMENT_CHARS, make_sentence
 from udmorph import conllu
 from udmorph.conllu import FeatureBag, Token, parse_conllu, serialize_conllu, validate
 from udmorph.rules import (
@@ -317,14 +317,7 @@ def test_enrich_transcribes_unmatched_ending(pack):
     assert enriched.tokens[0].feats == FeatureBag({"Case": ["seo"]})
 
 
-# Any text a LEMMA segment can hold: no tab, '+' or line break.
-_SEGMENT_CHARS = st.characters(
-    exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters="+"
-)
-_EC_SURFACES = st.text(
-    st.one_of(st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3), _SEGMENT_CHARS),
-    min_size=1,
-)
+_EC_SURFACES = st.text(st.one_of(HANGUL, SEGMENT_CHARS), min_size=1)
 
 
 @settings(max_examples=200, deadline=None)

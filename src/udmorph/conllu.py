@@ -93,10 +93,11 @@ class FeatureBag:
 
     Values are stored deduplicated and canonically sorted, so serialization
     is a fixed point: keys in case-insensitive alphabetical order joined by
-    `|`, multiple values per key joined by `,`, the empty bag as `_`.
+    `|`, multiple values per key joined by `,`, the empty bag as `_`; the
+    text is rendered once per bag.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_text")
 
     def __init__(self, entries: dict[str, Iterable[str]] | None = None):
         items = []
@@ -105,6 +106,7 @@ class FeatureBag:
             if values:
                 items.append((key, values))
         object.__setattr__(self, "_entries", tuple(items))
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FeatureBag is immutable")
@@ -140,9 +142,11 @@ class FeatureBag:
         return f"FeatureBag({dict((k, list(v)) for k, v in self._entries)!r})"
 
     def to_conllu(self) -> str:
-        if not self._entries:
-            return "_"
-        return "|".join(f"{k}={','.join(v)}" for k, v in self._entries)
+        text = self._text
+        if text is None:
+            text = "|".join(f"{k}={','.join(v)}" for k, v in self._entries) or "_"
+            object.__setattr__(self, "_text", text)
+        return text
 
     @classmethod
     def from_conllu(cls, text: str, line: int | None = None) -> "FeatureBag":
@@ -221,6 +225,15 @@ class Token:
         if problem:
             raise ValueError(f"{problem} in token {self.id} ({self.form!r})")
         return tuple(map(Morpheme, segments, tags))
+
+    def with_feats(self, feats: FeatureBag) -> Token:
+        """This token with `feats`, keeping its split morphemes; the token
+        itself when the bag is equal to its own."""
+        if feats == self.feats:
+            return self
+        token = object.__new__(type(self))
+        token.__dict__.update(self.__dict__, feats=feats)
+        return token
 
 
 @dataclass(frozen=True)

@@ -205,22 +205,32 @@ def correct_sentence(
     return replace(sentence, tokens=tokens), records
 
 
+_RECORD_ATTRIBUTES = {"UPOS": "upos", "XPOS": "xpos", "LEMMA": "lemma"}
+
+
 def apply_records(sentence: Sentence, records: Iterable[CorrectionRecord]) -> Sentence:
-    """Replay correction records onto a sentence (provenance check)."""
+    """Replay correction records onto a sentence (provenance check).
+
+    Each record must name a token of the sentence and hold, as its original,
+    that token's current value of the field; otherwise `CorrectionError`."""
     tokens = list(sentence.tokens)
     sid = sentence.sent_id or ""
     for rec in records:
         if sid and rec.sent_id != sid:
             continue
-        token = tokens[rec.token_id - 1]
-        if rec.field == "UPOS":
-            tokens[rec.token_id - 1] = replace(token, upos=rec.corrected)
-        elif rec.field == "XPOS":
-            tokens[rec.token_id - 1] = replace(token, xpos=rec.corrected)
-        elif rec.field == "LEMMA":
-            tokens[rec.token_id - 1] = replace(token, lemma=rec.corrected)
-        else:
+        attribute = _RECORD_ATTRIBUTES.get(rec.field)
+        if attribute is None:
             raise CorrectionError(f"unknown record field {rec.field!r}")
+        where = f"record {rec.sent_id or '_'}:{rec.token_id}"
+        if not 1 <= rec.token_id <= len(tokens):
+            raise CorrectionError(f"{where} names no token of the {len(tokens)}-token sentence")
+        token = tokens[rec.token_id - 1]
+        current = getattr(token, attribute)
+        if current != rec.original:
+            raise CorrectionError(
+                f"{where} expects {rec.field} {rec.original!r}, the token has {current!r}"
+            )
+        tokens[rec.token_id - 1] = replace(token, **{attribute: rec.corrected})
     return replace(sentence, tokens=tuple(tokens))
 
 
@@ -288,10 +298,13 @@ def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | No
         if len(fields) != 6:
             raise CorrectionError(f"line {lineno}: expected 6 columns, got {len(fields)}")
         sent_id, token_id, field_name, original, corrected, rule_id = fields
+        token_number = _parse_int(token_id, "token_id", lineno)
+        if token_number < 1:
+            raise CorrectionError(f"line {lineno}: token_id must be at least 1, got {token_number}")
         records.append(
             CorrectionRecord(
                 sent_id="" if sent_id == "_" else sent_id,
-                token_id=_parse_int(token_id, "token_id", lineno),
+                token_id=token_number,
                 field=field_name,
                 original="" if original == "_" else original,
                 corrected="" if corrected == "_" else corrected,

@@ -14,6 +14,13 @@ pass 2 - periphrastic rules with a lookahead window of two syntactic words,
          resolved the same way; their emissions extend the pass-1 bag and
          never displace it (a key already present gains values instead of
          being overwritten).
+
+Everything but the lookahead window depends on a word's (LEMMA, XPOS) shape
+alone, so each pack resolves a shape once into a `Verdict` (pass-1 winners
+and their bag, the lookahead rules its word pattern matches, the ending
+transcription, the functional-word list its class selects, its first
+morpheme for a neighbour's window) and remembers it in a memo of at most
+`VERDICT_MEMO_SIZE` shapes.  Bags are shared per set of winning rules.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import io
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .conllu import (
     _FEAT_VALUE_RE,
@@ -58,6 +65,11 @@ FEATURE_KEYS = frozenset(
 POSITIONS = ("any", "initial", "final")
 
 _VOICE_PRIORITY_BASE = 9000
+
+# Word shapes, winner sets and tag sets a pack keeps resolved.  A full memo is
+# emptied and refilled: a fixed bound, so a stream of ever new shapes cannot
+# grow memory, and a corpus's frequent shapes cost one miss each per refill.
+VERDICT_MEMO_SIZE = 4096
 
 # Romanization passes non-hangul characters through; FEATS values may not hold them.
 _NON_FEAT_CHARS = re.compile(r"[^A-Za-z0-9]")
@@ -117,6 +129,17 @@ class Rule:
         return False
 
 
+class Verdict(NamedTuple):
+    """What a pack decides for one word shape, a (LEMMA, XPOS) pair."""
+
+    first: Morpheme | None  # the first morpheme, seen by a preceding word's lookahead
+    winners: tuple[tuple[str, Rule], ...]  # per feature key, the word-internal winner
+    bag: FeatureBag  # the winners' bag
+    lookahead: tuple[Rule, ...]  # lookahead rules whose word pattern matches, pack order
+    ending: FeatureBag | None  # the transcription, when no word-internal rule matches
+    functional: frozenset[str]  # the functional words of a one-morpheme word's class
+
+
 @dataclass(frozen=True)
 class RulePack:
     language: str
@@ -133,16 +156,74 @@ class RulePack:
                 by_tag.setdefault(tag, []).append(position)
         object.__setattr__(self, "_positions_by_tag", by_tag)
         object.__setattr__(self, "_candidates_by_tags", {})
+        object.__setattr__(self, "_verdicts", {})
+        object.__setattr__(self, "_bags", {})
 
     def candidates(self, tags: frozenset[str]) -> tuple[Rule, ...]:
-        """The rules anchored on any of `tags`, in pack order; cached per tag set,
-        so the cache holds at most one tuple per tag combination of the input."""
+        """The rules anchored on any of `tags`, in pack order; cached per tag set."""
         found = self._candidates_by_tags.get(tags)
         if found is None:
             positions = {p for tag in tags for p in self._positions_by_tag.get(tag, ())}
             found = tuple(self.rules[p] for p in sorted(positions))
-            self._candidates_by_tags[tags] = found
+            _remember(self._candidates_by_tags, tags, found)
         return found
+
+    def verdict(self, token: Token) -> Verdict:
+        """The verdict for the token's word shape, resolved on its first sight
+        and remembered; the token's morphemes are split only then."""
+        key = (token.lemma, token.xpos)
+        found = self._verdicts.get(key)
+        if found is None:
+            found = _remember(self._verdicts, key, self._resolve(token.morphemes))
+        return found
+
+    def _resolve(self, morphemes: tuple[Morpheme, ...]) -> Verdict:
+        winners: dict[str, Rule] = {}
+        lookahead = []
+        for rule in self.candidates(frozenset(m.tag for m in morphemes)):
+            if not rule.matches_word(morphemes):
+                continue
+            if rule.context:
+                lookahead.append(rule)
+            else:
+                for key, _ in rule.emits:
+                    winners.setdefault(key, rule)
+        ending = None
+        if not winners:
+            transcription = _ending_transcription(morphemes)
+            if transcription is not None:
+                # the parsed cell's bag, shared by every equal ending and FEATS cell
+                ending = FeatureBag.from_conllu("=".join(transcription))
+        pairs = tuple(winners.items())
+        return Verdict(
+            first=morphemes[0] if morphemes else None,
+            winners=pairs,
+            bag=self._winners_bag(pairs),
+            lookahead=tuple(lookahead),
+            ending=ending,
+            functional=_functional_class(morphemes, self),
+        )
+
+    def _winners_bag(self, winners: tuple[tuple[str, Rule], ...]) -> FeatureBag:
+        """Each winning rule's values for the key it won, as one bag shared by
+        every word with the same winners."""
+        key = tuple((feature, rule.id) for feature, rule in winners)
+        found = self._bags.get(key)
+        if found is None:
+            entries: dict[str, set[str]] = {}
+            for feature, rule in winners:
+                entries.setdefault(feature, set()).update(v for k, v in rule.emits if k == feature)
+            found = _remember(self._bags, key, FeatureBag(entries))
+        return found
+
+
+def _remember(memo: dict, key, value):
+    """Store `value` under `key`; a memo holding `VERDICT_MEMO_SIZE` entries
+    is emptied first, so it never grows past that bound."""
+    if len(memo) >= VERDICT_MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _parse_alternation(text: str) -> frozenset[str] | None:
@@ -336,8 +417,8 @@ def load_default_pack(language: str = "ko") -> RulePack:
     return load_rule_pack(text)
 
 
-def _context_matches(rule: Rule, tokens: tuple[Token, ...], index: int) -> bool:
-    window = [t.morphemes[0] for t in tokens[index + 1 : index + 3] if t.morphemes]
+def _context_matches(rule: Rule, window: list[Morpheme]) -> bool:
+    """`window` holds the first morphemes of the next two words that have any."""
     if len(rule.context) == 1:
         return any(rule.context[0].matches(m) for m in window)
     return (
@@ -347,33 +428,29 @@ def _context_matches(rule: Rule, tokens: tuple[Token, ...], index: int) -> bool:
     )
 
 
-def assign_token_features(token: Token, pack: RulePack, sentence: Sentence, index: int) -> FeatureBag:
-    """Per pass and feature key, the first matching rule in pack order wins."""
-    morphemes = token.morphemes
-    internal: dict[str, Rule] = {}
+def assign_token_features(verdicts: Sequence[Verdict], index: int, pack: RulePack) -> FeatureBag:
+    """The bag of word `index` given the verdicts of its sentence's words:
+    the word-internal bag, extended by the lookahead rules whose window
+    matches (per feature key the first in pack order wins)."""
+    verdict = verdicts[index]
+    if not verdict.lookahead:
+        return verdict.bag
+    window = [v.first for v in verdicts[index + 1 : index + 3] if v.first is not None]
     context: dict[str, Rule] = {}
-    for rule in pack.candidates(frozenset(m.tag for m in morphemes)):
-        if not rule.matches_word(morphemes):
-            continue
-        if not rule.context:
-            winners = internal
-        elif _context_matches(rule, sentence.tokens, index):
-            winners = context
-        else:
-            continue
-        for key, _ in rule.emits:
-            winners.setdefault(key, rule)
-    bag: dict[str, set[str]] = {}
-    for winners in (internal, context):
-        for key, rule in winners.items():
-            bag.setdefault(key, set()).update(v for k, v in rule.emits if k == key)
-    return FeatureBag(bag)
+    for rule in verdict.lookahead:
+        if _context_matches(rule, window):
+            for key, _ in rule.emits:
+                context.setdefault(key, rule)
+    if not context:
+        return verdict.bag
+    return pack._winners_bag(verdict.winners + tuple(context.items()))
 
 
 def assign_features(sentence: Sentence, pack: RulePack) -> Sentence:
     """Replace every token's feature bag with the rules' verdict."""
+    verdicts = [pack.verdict(token) for token in sentence.tokens]
     tokens = tuple(
-        replace(token, feats=assign_token_features(token, pack, sentence, i))
+        token.with_feats(assign_token_features(verdicts, i, pack))
         for i, token in enumerate(sentence.tokens)
     )
     return replace(sentence, tokens=tokens)
@@ -396,15 +473,16 @@ def transcribe_ending(token: Token) -> tuple[str, str] | None:
     return _ending_transcription(token.morphemes)
 
 
+def _functional_class(morphemes: tuple[Morpheme, ...], pack: RulePack) -> frozenset[str]:
+    """The pack's functional words of a one-morpheme word's UPOS class."""
+    if len(morphemes) != 1:
+        return frozenset()
+    return pack.functional_words.get(CANONICAL_UPOS.get(morphemes[0].tag), frozenset())
+
+
 def tag_functional(token: Token, pack: RulePack) -> bool:
     """True iff the token is a bare functional word from the pack's lists."""
-    morphemes = token.morphemes
-    if len(morphemes) != 1:
-        return False
-    upos_class = CANONICAL_UPOS.get(morphemes[0].tag)
-    if upos_class is None:
-        return False
-    return token.form in pack.functional_words.get(upos_class, frozenset())
+    return token.form in _functional_class(token.morphemes, pack)
 
 
 def _misc_with_flag(misc: str, key: str, value: str) -> str:
@@ -421,11 +499,12 @@ def enrich_sentence(sentence: Sentence, pack: RulePack) -> Sentence:
     """Full enrichment: rule features, ending transcription, functional flags."""
     enriched = assign_features(sentence, pack)
     tokens = list(enriched.tokens)
-    # Read the input tokens, whose morphemes the rule pass has already split.
-    for i, token in enumerate(sentence.tokens):
-        transcription = None if tokens[i].feats else _ending_transcription(token.morphemes)
-        if transcription is not None:
-            tokens[i] = replace(tokens[i], feats=FeatureBag({transcription[0]: (transcription[1],)}))
-        if tag_functional(token, pack):
-            tokens[i] = replace(tokens[i], misc=_misc_with_flag(token.misc, "Functional", "Yes"))
+    for i, token in enumerate(enriched.tokens):
+        verdict = pack.verdict(token)
+        if verdict.ending is not None and not token.feats:
+            tokens[i] = token = token.with_feats(verdict.ending)
+        if token.form in verdict.functional:
+            misc = _misc_with_flag(token.misc, "Functional", "Yes")
+            if misc != token.misc:
+                tokens[i] = replace(token, misc=misc)
     return replace(enriched, tokens=tuple(tokens))

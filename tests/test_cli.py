@@ -106,6 +106,11 @@ def test_format_errors_exit_2(tmp_path, capsys):
         ),
         (
             ["stats", "log.tsv"],
+            {"log.tsv": "# total_tokens\t10\ns1\t0\tUPOS\tADV\tNOUN\tr\n"},
+            "line 2: token_id must be at least 1, got 0",
+        ),
+        (
+            ["stats", "log.tsv"],
             {"log.tsv": "# total_tokens\tmany\n"},
             "line 1: total_tokens must be an integer",
         ),
@@ -127,6 +132,7 @@ def test_format_errors_exit_2(tmp_path, capsys):
         "aux-empty-sent-id",
         "aux-token-id",
         "log-token-id",
+        "log-token-id-zero",
         "log-total",
         "not-utf8",
         "head-too-many-digits",

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,24 @@ def test_replay_reproduces_correction(pack):
     assert apply_records(sentence, records) == corrected
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        (CorrectionRecord("s1", 0, "UPOS", "NOUN", "PROPN", "r"), "names no token of the 2-token"),
+        (CorrectionRecord("s1", 3, "UPOS", "NOUN", "PROPN", "r"), "names no token of the 2-token"),
+        (CorrectionRecord("s1", 1, "UPOS", "ADV", "NOUN", "r"), "expects UPOS 'ADV', the token has 'NOUN'"),
+        (CorrectionRecord("s1", 2, "LEMMA", "좋+다", "좋다", "r"), "expects LEMMA '좋+다', the token has '좋+아'"),
+    ],
+    ids=["token-id-zero", "token-id-past-end", "upos-mismatch", "lemma-mismatch"],
+)
+def test_replay_rejects_a_record_that_does_not_fit(record, message):
+    sentence = make_sentence(
+        [("학교", "학교", "NNG", "NOUN"), ("좋아", "좋+아", "VA+EF", "ADJ")], sent_id="s1"
+    )
+    with pytest.raises(CorrectionError, match=re.escape(message)):
+        apply_records(sentence, [record])
+
+
 def test_unresolvable_aux_reference(pack):
     sentence = make_sentence([("학교", "학교", "NNG", "NOUN")], sent_id="s1")
     with pytest.raises(CorrectionError, match="missing token"):
@@ -255,6 +274,11 @@ def test_stats_formatting_four_decimals():
     assert "ADV\tNOUN\t1\t0.0000" in text
     stats = aggregate_stats([_record("UPOS", "ADV", "NOUN")] * 3607, total_tokens=56715)
     assert "ADV\tNOUN\t3607\t0.0636" in format_stats(stats)
+
+
+def test_log_rejects_a_token_id_below_one():
+    with pytest.raises(CorrectionError, match="line 3: token_id must be at least 1, got -2"):
+        read_records("# total_tokens\t4\ns1\t1\tUPOS\tADV\tNOUN\tr\ns1\t-2\tUPOS\tADV\tNOUN\tr\n")
 
 
 def test_records_round_trip_through_log():
@@ -303,3 +327,16 @@ def test_enrich_then_correct_output_reparses_and_stays_valid(pack, text, data):
     for before, after in zip(sentences, reparsed, strict=True):
         if not validate([before]):
             assert validate([after]) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SEJONG_TREEBANK, data=st.data())
+def test_log_written_and_read_back_replays_to_the_corrected_sentence(pack, text, data):
+    sentences = parse_conllu(text)
+    for sentence in sentences:
+        corrected, records = correct_sentence(sentence, data.draw(_aux_entries(sentence)), pack)
+        sink = io.StringIO()
+        write_records(records, len(sentence.tokens), sink)
+        replayed, total = read_records(sink.getvalue())
+        assert total == len(sentence.tokens)
+        assert apply_records(sentence, replayed) == corrected

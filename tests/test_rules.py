@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_FIXTURES, HANGUL, SEGMENT_CHARS, make_sentence
-from udmorph import conllu
+from conftest import FAMILY_FIXTURES, HANGUL, SEGMENT_CHARS, SEJONG_TREEBANK, make_sentence
+from udmorph import conllu, rules
 from udmorph.conllu import FeatureBag, Token, parse_conllu, serialize_conllu, validate
 from udmorph.rules import (
     PACK_HEADER,
@@ -272,8 +272,14 @@ def test_candidates_are_the_rules_anchored_on_the_tags_in_pack_order(pack, data)
             assert candidate_pack.candidates(tags) == expected
 
 
-def test_enrich_splits_each_tokens_morphemes_once(pack, monkeypatch):
+def _fresh(pack):
+    """The same pack with empty memos."""
+    return replace(pack, rules=pack.rules)
+
+
+def test_enrich_splits_each_word_shapes_morphemes_once(pack, monkeypatch):
     sentences = [make_sentence(words) for _, words, *_ in FAMILY_FIXTURES]
+    shapes = {(t.lemma, t.xpos) for s in sentences for t in s.tokens}
     calls = []
 
     def counting_split(raw):
@@ -282,10 +288,59 @@ def test_enrich_splits_each_tokens_morphemes_once(pack, monkeypatch):
 
     split = conllu._split_plus
     monkeypatch.setattr(conllu, "_split_plus", counting_split)
+    fresh = _fresh(pack)
     for sentence in sentences:
-        enrich_sentence(sentence, pack)
-    # one call for LEMMA and one for XPOS per token
-    assert len(calls) == 2 * sum(len(s.tokens) for s in sentences)
+        enrich_sentence(sentence, fresh)
+    # one call for LEMMA and one for XPOS per distinct (LEMMA, XPOS) shape
+    assert len(shapes) < sum(len(s.tokens) for s in sentences)
+    assert len(calls) == 2 * len(shapes)
+
+
+def test_verdict_memo_stays_within_its_bound(pack, monkeypatch):
+    # every sentence brings two new word shapes; the lookahead rule on 가고
+    # fires; four tag sets in all
+    sentences = [
+        make_sentence(
+            [
+                (f"학교{i}에", f"학교{i}+에", "NNG+JKB" if i % 2 else "NNP+JKB", "NOUN"),
+                ("가고", "가+고", "VV+EC", "VERB"),
+                ("싶다", f"싶+다{i}", "VX+EF", "AUX"),
+            ]
+        )
+        for i in range(40)
+    ]
+    expected = [enrich_sentence(s, _fresh(pack)) for s in sentences]
+    assert expected[0].tokens[1].feats.get("Mood") == ("Des",)
+    monkeypatch.setattr(rules, "VERDICT_MEMO_SIZE", 3)
+    small = _fresh(pack)
+    sizes = set()
+    for sentence, want in zip(sentences * 2, expected * 2):
+        assert enrich_sentence(sentence, small) == want
+        sizes.update((len(small._verdicts), len(small._bags), len(small._candidates_by_tags)))
+    assert max(sizes) == 3
+
+
+def test_replaced_pack_starts_with_an_empty_memo(pack):
+    sentence = make_sentence([("가고", "가+고", "VV+EC", "VERB"), ("싶다", "싶+다", "VX+EF", "AUX")])
+    assert enrich_sentence(sentence, pack).tokens[0].feats.get("Mood") == ("Des",)
+    internal_only = replace(pack, rules=tuple(r for r in pack.rules if not r.context))
+    assert enrich_sentence(sentence, internal_only).tokens[0].feats.get("Mood") == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SEJONG_TREEBANK)
+def test_enrich_is_idempotent(pack, text):
+    for sentence in parse_conllu(text):
+        once = enrich_sentence(sentence, pack)
+        assert enrich_sentence(once, pack) == once
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SEJONG_TREEBANK)
+def test_enrich_with_a_warm_pack_equals_a_fresh_pack_per_sentence(pack, text):
+    # `pack` is shared by every example, so its memos hold earlier examples' shapes
+    for sentence in parse_conllu(text):
+        assert enrich_sentence(sentence, pack) == enrich_sentence(sentence, _fresh(pack))
 
 
 # ----------------------------------------------------- transcription and MISC

@@ -27,8 +27,6 @@ from .rules import (
     enrich_sentence,
     load_default_pack,
     load_rule_pack,
-    tag_functional,
-    transcribe_ending,
 )
 
 __version__ = "0.1.0"
@@ -60,8 +58,6 @@ __all__ = [
     "parse_conllu",
     "score",
     "serialize_conllu",
-    "tag_functional",
     "to_it_record",
-    "transcribe_ending",
     "validate",
 ]

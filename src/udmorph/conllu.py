@@ -1,8 +1,10 @@
 """CoNLL-U parsing, serialization and validation.
 
 The data model keeps the morpheme-segmented LEMMA and XPOS columns as raw
-`+`-joined strings (the serialization authority) and splits them into
-aligned (surface, tag) morpheme pairs once per token, on first use.
+`+`-joined strings (the serialization authority).  A token's aligned
+(surface, tag) morpheme pairs come from `_morphemes`, which splits each
+(LEMMA, XPOS) shape once and shares the result among every token of that
+shape.  Every memo in the package is an LRU cache bounded by `MEMO_SIZE`.
 Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
 and excluded from the token list and from all structural checks.
 """
@@ -13,16 +15,17 @@ import io
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 logger = logging.getLogger("udmorph")
 
 COLUMN_COUNT = 10
 
-# Distinct FEATS cells kept parsed, least recently used dropped first: a
-# fixed bound, so a stream of ever new cells cannot grow memory.
-FEATS_MEMO_SIZE = 4096
+# Entries each memo keeps (parsed FEATS cells, split word shapes, a rule
+# pack's verdicts and bags), least recently used dropped first: a fixed
+# bound, so a stream of ever new values cannot grow memory.
+MEMO_SIZE = 4096
 
 # Sejong morpheme tag inventory (closed set).
 SEJONG_TAGS = frozenset(
@@ -158,7 +161,7 @@ class FeatureBag:
             raise ConlluError(str(error), line) from None
 
 
-@lru_cache(maxsize=FEATS_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _parse_feats(text: str) -> FeatureBag:
     if text in ("", "_"):
         return FeatureBag()
@@ -201,6 +204,17 @@ def _misalignment(segments: Sequence[str], tags: Sequence[str], lenient: bool) -
     )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _morphemes(lemma: str, xpos: str) -> tuple[Morpheme, ...]:
+    """The one place an aligned word is split; a misaligned shape raises
+    `ValueError` and is not remembered."""
+    segments, tags = _split_plus(lemma), _split_plus(xpos)
+    problem = _misalignment(segments, tags, lenient=True)
+    if problem:
+        raise ValueError(problem)
+    return tuple(map(Morpheme, segments, tags))
+
+
 @dataclass(frozen=True)
 class Token:
     """One syntactic word.  `lemma` and `xpos` hold raw `+`-joined columns."""
@@ -216,19 +230,19 @@ class Token:
     deps: str = "_"
     misc: str = "_"
 
-    @cached_property
+    @property
     def morphemes(self) -> tuple[Morpheme, ...]:
-        """Aligned (surface, tag) pairs, split once per token object; empty
-        when LEMMA or XPOS is empty, the one misalignment lenient parsing admits."""
-        segments, tags = _split_plus(self.lemma), _split_plus(self.xpos)
-        problem = _misalignment(segments, tags, lenient=True)
-        if problem:
-            raise ValueError(f"{problem} in token {self.id} ({self.form!r})")
-        return tuple(map(Morpheme, segments, tags))
+        """Aligned (surface, tag) pairs, shared by every token of the same
+        shape; empty when LEMMA or XPOS is empty, the one misalignment
+        lenient parsing admits."""
+        try:
+            return _morphemes(self.lemma, self.xpos)
+        except ValueError as error:
+            raise ValueError(f"{error} in token {self.id} ({self.form!r})") from None
 
     def with_feats(self, feats: FeatureBag) -> Token:
-        """This token with `feats`, keeping its split morphemes; the token
-        itself when the bag is equal to its own."""
+        """This token with `feats`, copied without `dataclasses.replace`'s
+        per-field work; the token itself when the bag is equal to its own."""
         if feats == self.feats:
             return self
         token = object.__new__(type(self))
@@ -344,7 +358,7 @@ def iter_sentences(
     source: str | TextIO, *, lenient: bool = False, strip_bom: bool = False
 ) -> Iterator[Sentence]:
     """Stream sentences from CoNLL-U text.  Memory holds one sentence plus
-    the parsed FEATS memo, which keeps at most `FEATS_MEMO_SIZE` cells.
+    the parsed FEATS memo, which keeps at most `MEMO_SIZE` cells.
 
     Under `lenient`, each unknown XPOS tag is logged once, at the end."""
     stream = io.StringIO(source) if isinstance(source, str) else source

@@ -315,9 +315,11 @@ def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | No
 
 
 def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
-    """Sidecar format: sent_id, token_id, ner_label, ext_xpos ('_' = absent)."""
+    """Sidecar format: sent_id, token_id, ner_label, ext_xpos ('_' = absent);
+    at most one entry per token."""
     stream = io.StringIO(source) if isinstance(source, str) else source
     entries: list[AuxAnnotation] = []
+    first_lines: dict[tuple[str, int], int] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line or line.startswith("#"):
@@ -336,10 +338,17 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
             for code in ext:
                 if code not in SEJONG_TAGS:
                     raise CorrectionError(f"line {lineno}: unknown XPOS tag {code!r}")
+        token_number = _parse_int(token_id, "token_id", lineno)
+        first = first_lines.setdefault((sent_id, token_number), lineno)
+        if first != lineno:
+            raise CorrectionError(
+                f"line {lineno}: second aux entry for token {sent_id}:{token_number} "
+                f"(first on line {first})"
+            )
         entries.append(
             AuxAnnotation(
                 sent_id=sent_id,
-                token_id=_parse_int(token_id, "token_id", lineno),
+                token_id=token_number,
                 ner_label=None if ner_label == "_" else ner_label,
                 ext_xpos=ext,
             )

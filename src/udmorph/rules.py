@@ -15,12 +15,12 @@ pass 2 - periphrastic rules with a lookahead window of two syntactic words,
          never displace it (a key already present gains values instead of
          being overwritten).
 
-Everything but the lookahead window depends on a word's (LEMMA, XPOS) shape
-alone, so each pack resolves a shape once into a `Verdict` (pass-1 winners
-and their bag, the lookahead rules its word pattern matches, the ending
-transcription, the functional-word list its class selects, its first
-morpheme for a neighbour's window) and remembers it in a memo of at most
-`VERDICT_MEMO_SIZE` shapes.  Bags are shared per set of winning rules.
+Everything but the lookahead window depends on a word's morphemes alone, so
+each pack resolves them once into a `Verdict` (pass-1 winners and their bag,
+the lookahead rules its word pattern matches, the ending transcription, the
+functional-word list its class selects, its first morpheme for a
+neighbour's window).  Verdicts, and bags shared per set of emitted values,
+are kept in per-pack LRU caches of at most `MEMO_SIZE` entries.
 """
 
 from __future__ import annotations
@@ -28,17 +28,18 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple, Sequence, TextIO
 
 from .conllu import (
     _FEAT_VALUE_RE,
     CANONICAL_UPOS,
+    MEMO_SIZE,
     SEJONG_TAGS,
     FeatureBag,
     Morpheme,
     Sentence,
-    Token,
 )
 from .romanize import romanize
 
@@ -65,11 +66,6 @@ FEATURE_KEYS = frozenset(
 POSITIONS = ("any", "initial", "final")
 
 _VOICE_PRIORITY_BASE = 9000
-
-# Word shapes, winner sets and tag sets a pack keeps resolved.  A full memo is
-# emptied and refilled: a fixed bound, so a stream of ever new shapes cannot
-# grow memory, and a corpus's frequent shapes cost one miss each per refill.
-VERDICT_MEMO_SIZE = 4096
 
 # Romanization passes non-hangul characters through; FEATS values may not hold them.
 _NON_FEAT_CHARS = re.compile(r"[^A-Za-z0-9]")
@@ -130,7 +126,7 @@ class Rule:
 
 
 class Verdict(NamedTuple):
-    """What a pack decides for one word shape, a (LEMMA, XPOS) pair."""
+    """What a pack decides for one word's morphemes."""
 
     first: Morpheme | None  # the first morpheme, seen by a preceding word's lookahead
     winners: tuple[tuple[str, Rule], ...]  # per feature key, the word-internal winner
@@ -142,6 +138,9 @@ class Verdict(NamedTuple):
 
 @dataclass(frozen=True)
 class RulePack:
+    """Rules in resolution order, indexed by anchor tag.  `verdict(morphemes)`
+    gives a word's `Verdict`, resolved on its first sight and remembered."""
+
     language: str
     rules: tuple[Rule, ...]
     functional_words: dict[str, frozenset[str]]
@@ -155,29 +154,22 @@ class RulePack:
             for tag in rule.tags:
                 by_tag.setdefault(tag, []).append(position)
         object.__setattr__(self, "_positions_by_tag", by_tag)
-        object.__setattr__(self, "_candidates_by_tags", {})
-        object.__setattr__(self, "_verdicts", {})
-        object.__setattr__(self, "_bags", {})
+        # per-pack memos, so a pack made by `dataclasses.replace` starts empty
+        object.__setattr__(self, "verdict", lru_cache(MEMO_SIZE)(self._resolve))
+        object.__setattr__(self, "_winners_bag", lru_cache(MEMO_SIZE)(_bag_of))
+
+    def __reduce__(self):
+        # `verdict` wraps a bound method, which does not pickle; a copy starts empty
+        fields = (self.language, self.rules, self.functional_words, self.conjunctive_adverbs)
+        return (RulePack, fields)
 
     def candidates(self, tags: frozenset[str]) -> tuple[Rule, ...]:
-        """The rules anchored on any of `tags`, in pack order; cached per tag set."""
-        found = self._candidates_by_tags.get(tags)
-        if found is None:
-            positions = {p for tag in tags for p in self._positions_by_tag.get(tag, ())}
-            found = tuple(self.rules[p] for p in sorted(positions))
-            _remember(self._candidates_by_tags, tags, found)
-        return found
-
-    def verdict(self, token: Token) -> Verdict:
-        """The verdict for the token's word shape, resolved on its first sight
-        and remembered; the token's morphemes are split only then."""
-        key = (token.lemma, token.xpos)
-        found = self._verdicts.get(key)
-        if found is None:
-            found = _remember(self._verdicts, key, self._resolve(token.morphemes))
-        return found
+        """The rules anchored on any of `tags`, in pack order."""
+        positions = {p for tag in tags for p in self._positions_by_tag.get(tag, ())}
+        return tuple(self.rules[p] for p in sorted(positions))
 
     def _resolve(self, morphemes: tuple[Morpheme, ...]) -> Verdict:
+        """The verdict for a word's morphemes; `verdict` is its per-pack memo."""
         winners: dict[str, Rule] = {}
         lookahead = []
         for rule in self.candidates(frozenset(m.tag for m in morphemes)):
@@ -198,42 +190,38 @@ class RulePack:
         return Verdict(
             first=morphemes[0] if morphemes else None,
             winners=pairs,
-            bag=self._winners_bag(pairs),
+            bag=self._winners_bag(_emitted(pairs)),
             lookahead=tuple(lookahead),
             ending=ending,
             functional=_functional_class(morphemes, self),
         )
 
-    def _winners_bag(self, winners: tuple[tuple[str, Rule], ...]) -> FeatureBag:
-        """Each winning rule's values for the key it won, as one bag shared by
-        every word with the same winners."""
-        key = tuple((feature, rule.id) for feature, rule in winners)
-        found = self._bags.get(key)
-        if found is None:
-            entries: dict[str, set[str]] = {}
-            for feature, rule in winners:
-                entries.setdefault(feature, set()).update(v for k, v in rule.emits if k == feature)
-            found = _remember(self._bags, key, FeatureBag(entries))
-        return found
+
+def _emitted(winners: tuple[tuple[str, Rule], ...]) -> tuple[tuple[str, str], ...]:
+    """Each winning rule's (key, value) emissions for the key it won."""
+    return tuple((feature, v) for feature, rule in winners for k, v in rule.emits if k == feature)
 
 
-def _remember(memo: dict, key, value):
-    """Store `value` under `key`; a memo holding `VERDICT_MEMO_SIZE` entries
-    is emptied first, so it never grows past that bound."""
-    if len(memo) >= VERDICT_MEMO_SIZE:
-        memo.clear()
-    memo[key] = value
-    return value
+def _bag_of(emitted: tuple[tuple[str, str], ...]) -> FeatureBag:
+    """The bag of `emitted`; `RulePack._winners_bag` shares it among every
+    word whose winners emit the same values."""
+    entries: dict[str, list[str]] = {}
+    for key, value in emitted:
+        entries.setdefault(key, []).append(value)
+    return FeatureBag(entries)
 
 
-def _parse_alternation(text: str) -> frozenset[str] | None:
+def _parse_alternation(text: str, line: int) -> frozenset[str] | None:
     if text == "*":
         return None
-    return frozenset(text.split("|"))
+    members = text.split("|")
+    if "" in members:
+        raise RulePackError(f"empty alternative in {text!r}", line)
+    return frozenset(members)
 
 
 def _parse_tags(text: str, line: int) -> frozenset[str] | None:
-    tags = _parse_alternation(text)
+    tags = _parse_alternation(text, line)
     for code in tags or ():
         if code not in SEJONG_TAGS:
             raise RulePackError(f"unknown tag code {code!r}", line)
@@ -244,7 +232,7 @@ def _parse_morph_pattern(text: str, line: int) -> MorphPattern:
     surface, sep, tag = text.partition("/")
     if not sep:
         raise RulePackError(f"context pattern {text!r} must be <surface>/<tag>", line)
-    return MorphPattern(_parse_alternation(surface), _parse_tags(tag, line))
+    return MorphPattern(_parse_alternation(surface, line), _parse_tags(tag, line))
 
 
 def _check_feature_value(value: str, line: int) -> None:
@@ -278,7 +266,7 @@ def _parse_rule_line(body: str, line: int) -> Rule:
             if tags is None:
                 raise RulePackError("anchor tag may not be '*'", line)
         elif key == "surface":
-            surfaces = _parse_alternation(value)
+            surfaces = _parse_alternation(value, line)
         elif key == "pos":
             if value not in POSITIONS:
                 raise RulePackError(f"position must be one of {POSITIONS}, got {value!r}", line)
@@ -379,6 +367,9 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
             parts = body.split()
             if len(parts) != 2:
                 raise RulePackError("voice needs '<stem[+suffix]> <value>'", line_no)
+            stem, plus, suffix = parts[0].partition("+")
+            if not stem or (plus and not suffix):
+                raise RulePackError(f"voice entry {parts[0]!r} has an empty stem or suffix", line_no)
             if parts[0] in voice:
                 raise RulePackError(f"duplicate voice entry {parts[0]!r}", line_no)
             _check_feature_value(parts[1], line_no)
@@ -443,12 +434,12 @@ def assign_token_features(verdicts: Sequence[Verdict], index: int, pack: RulePac
                 context.setdefault(key, rule)
     if not context:
         return verdict.bag
-    return pack._winners_bag(verdict.winners + tuple(context.items()))
+    return pack._winners_bag(_emitted(verdict.winners + tuple(context.items())))
 
 
 def assign_features(sentence: Sentence, pack: RulePack) -> Sentence:
     """Replace every token's feature bag with the rules' verdict."""
-    verdicts = [pack.verdict(token) for token in sentence.tokens]
+    verdicts = [pack.verdict(token.morphemes) for token in sentence.tokens]
     tokens = tuple(
         token.with_feats(assign_token_features(verdicts, i, pack))
         for i, token in enumerate(sentence.tokens)
@@ -457,20 +448,13 @@ def assign_features(sentence: Sentence, pack: RulePack) -> Sentence:
 
 
 def _ending_transcription(morphemes: tuple[Morpheme, ...]) -> tuple[str, str] | None:
+    """Surface transcription of a word-final conjunctive ending.  Characters
+    that a FEATS value cannot hold are dropped; an ending with nothing left
+    gets no transcription."""
     if not morphemes or morphemes[-1].tag != "EC":
         return None
     value = _NON_FEAT_CHARS.sub("", romanize(morphemes[-1].surface))
     return ("Case", value) if value else None
-
-
-def transcribe_ending(token: Token) -> tuple[str, str] | None:
-    """Surface transcription for otherwise featureless conjunctive endings.
-
-    Characters that a FEATS value cannot hold are dropped; an ending with
-    nothing left gets no transcription."""
-    if token.feats:
-        return None
-    return _ending_transcription(token.morphemes)
 
 
 def _functional_class(morphemes: tuple[Morpheme, ...], pack: RulePack) -> frozenset[str]:
@@ -478,11 +462,6 @@ def _functional_class(morphemes: tuple[Morpheme, ...], pack: RulePack) -> frozen
     if len(morphemes) != 1:
         return frozenset()
     return pack.functional_words.get(CANONICAL_UPOS.get(morphemes[0].tag), frozenset())
-
-
-def tag_functional(token: Token, pack: RulePack) -> bool:
-    """True iff the token is a bare functional word from the pack's lists."""
-    return token.form in _functional_class(token.morphemes, pack)
 
 
 def _misc_with_flag(misc: str, key: str, value: str) -> str:
@@ -500,7 +479,7 @@ def enrich_sentence(sentence: Sentence, pack: RulePack) -> Sentence:
     enriched = assign_features(sentence, pack)
     tokens = list(enriched.tokens)
     for i, token in enumerate(enriched.tokens):
-        verdict = pack.verdict(token)
+        verdict = pack.verdict(token.morphemes)
         if verdict.ending is not None and not token.feats:
             tokens[i] = token = token.with_feats(verdict.ending)
         if token.form in verdict.functional:

@@ -125,6 +125,11 @@ def test_format_errors_exit_2(tmp_path, capsys):
             {"in.conllu": f"{'1' * 5000}\t하나\t하나\tNUM\tNR\t_\t0\troot\t_\t_\n\n"},
             "line 1: invalid token id: 5000 digits",
         ),
+        (
+            ["correct", "in.conllu", "--aux", "aux.tsv"],
+            {"in.conllu": FIG1_CONLLU, "aux.tsv": "fixture-1\t1\tPER\t_\nfixture-1\t1\t_\t_\n"},
+            "line 2: second aux entry for token fixture-1:1 (first on line 1)",
+        ),
     ],
     ids=[
         "head",
@@ -137,6 +142,7 @@ def test_format_errors_exit_2(tmp_path, capsys):
         "not-utf8",
         "head-too-many-digits",
         "id-too-many-digits",
+        "aux-duplicate-entry",
     ],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, files, message):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -5,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_FIXTURES, HANGUL, SEGMENT_CHARS, SEJONG_TREEBANK, make_sentence
-from udmorph import conllu, rules
-from udmorph.conllu import FeatureBag, Token, parse_conllu, serialize_conllu, validate
+from udmorph import conllu
+from udmorph.conllu import MEMO_SIZE, FeatureBag, Token, parse_conllu, serialize_conllu, validate
+from udmorph.corrections import correct_sentence
 from udmorph.rules import (
     PACK_HEADER,
     MorphPattern,
@@ -14,13 +17,16 @@ from udmorph.rules import (
     assign_features,
     enrich_sentence,
     load_rule_pack,
-    tag_functional,
-    transcribe_ending,
 )
 
 
 def _token(form, lemma, xpos, upos="X"):
     return Token(id=1, form=form, lemma=lemma, xpos=xpos, upos=upos, head=0, deprel="root")
+
+
+def _ending(pack, lemma, xpos):
+    """The ending transcription the pack resolves for a word shape."""
+    return pack.verdict(_token(lemma.replace("+", ""), lemma, xpos).morphemes).ending
 
 
 def _features_of(pack, words, index=0):
@@ -76,6 +82,23 @@ def test_unknown_feature_key_rejected():
 def test_emitted_value_invalid_in_feats_rejected(line):
     text = f"{PACK_HEADER}\nlanguage ko\n{line}\n"
     with pytest.raises(RulePackError, match="line 3: feature value .* is not valid in FEATS"):
+        load_rule_pack(text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "rule a 1 tag=EC surface=고| => Mood=Des",
+        "rule a 1 tag=EC prev=|가/VV => Mood=Des",
+        "rule a 1 tag=EC surface=고 next=싶/VX,/VV => Mood=Des",
+        "voice 먹+ Pass",
+        "voice +히 Pass",
+    ],
+    ids=["surface", "prev", "next", "voice-suffix", "voice-stem"],
+)
+def test_empty_surface_rejected(line):
+    text = f"{PACK_HEADER}\nlanguage ko\n{line}\n"
+    with pytest.raises(RulePackError, match="^line 3: .*empty"):
         load_rule_pack(text)
 
 
@@ -266,7 +289,7 @@ def test_candidates_are_the_rules_anchored_on_the_tags_in_pack_order(pack, data)
     anchors = sorted({tag for rule in pack.rules for tag in rule.tags} | {"SF", "NA"})
     tag_sets = st.frozensets(st.sampled_from(anchors), max_size=4)
     for candidate_pack in (pack, replace(pack, rules=tuple(subset))):
-        # several tag sets per pack, so one cached entry can answer for another
+        # several tag sets per pack, each against a scan of the whole pack
         for tags in data.draw(st.lists(tag_sets, min_size=1, max_size=8)):
             expected = tuple(r for r in candidate_pack.rules if r.tags & tags)
             assert candidate_pack.candidates(tags) == expected
@@ -277,9 +300,20 @@ def _fresh(pack):
     return replace(pack, rules=pack.rules)
 
 
+def _shapes(sentences):
+    return {(t.lemma, t.xpos) for s in sentences for t in s.tokens}
+
+
 def test_enrich_splits_each_word_shapes_morphemes_once(pack, monkeypatch):
     sentences = [make_sentence(words) for _, words, *_ in FAMILY_FIXTURES]
-    shapes = {(t.lemma, t.xpos) for s in sentences for t in s.tokens}
+    # conj-adverb, xr-noun and complement-jkc retag one word each
+    retagged = [
+        ("그러나", "그러나", "MAG", "ADV"),
+        ("깨끗한", "깨끗+하+ㄴ", "XR+XSA+ETM", "ADJ"),
+        ("학생이", "학생+이", "NNG+JKS", "NOUN"),
+        ("되다", "되+다", "VV+EF", "VERB"),
+    ]
+    sentences.append(make_sentence(retagged))
     calls = []
 
     def counting_split(raw):
@@ -288,17 +322,27 @@ def test_enrich_splits_each_word_shapes_morphemes_once(pack, monkeypatch):
 
     split = conllu._split_plus
     monkeypatch.setattr(conllu, "_split_plus", counting_split)
+    conllu._morphemes.cache_clear()
     fresh = _fresh(pack)
-    for sentence in sentences:
-        enrich_sentence(sentence, fresh)
+    enriched = [enrich_sentence(sentence, fresh) for sentence in sentences]
     # one call for LEMMA and one for XPOS per distinct (LEMMA, XPOS) shape
-    assert len(shapes) < sum(len(s.tokens) for s in sentences)
-    assert len(calls) == 2 * len(shapes)
+    assert len(_shapes(sentences)) < sum(len(s.tokens) for s in sentences)
+    assert len(calls) == 2 * len(_shapes(sentences))
+
+    calls.clear()
+    conllu._morphemes.cache_clear()
+    corrected = [correct_sentence(sentence, [], fresh)[0] for sentence in enriched]
+    assert len(_shapes(corrected) - _shapes(enriched)) == 3
+    # each shape read is split once: the input's, and those a correction
+    # writes for a later one to read
+    split_shapes = list(zip(calls[::2], calls[1::2]))
+    assert len(split_shapes) == len(set(split_shapes))
+    assert _shapes(enriched) < set(split_shapes) < _shapes(enriched) | _shapes(corrected)
 
 
-def test_verdict_memo_stays_within_its_bound(pack, monkeypatch):
-    # every sentence brings two new word shapes; the lookahead rule on 가고
-    # fires; four tag sets in all
+def test_verdict_memo_stays_within_its_bound(pack):
+    # every sentence brings two new word shapes, MEMO_SIZE + 50 in all; the
+    # lookahead rule on 가고 fires
     sentences = [
         make_sentence(
             [
@@ -307,17 +351,40 @@ def test_verdict_memo_stays_within_its_bound(pack, monkeypatch):
                 ("싶다", f"싶+다{i}", "VX+EF", "AUX"),
             ]
         )
-        for i in range(40)
+        for i in range((MEMO_SIZE + 50) // 2)
     ]
-    expected = [enrich_sentence(s, _fresh(pack)) for s in sentences]
-    assert expected[0].tokens[1].feats.get("Mood") == ("Des",)
-    monkeypatch.setattr(rules, "VERDICT_MEMO_SIZE", 3)
-    small = _fresh(pack)
-    sizes = set()
-    for sentence, want in zip(sentences * 2, expected * 2):
-        assert enrich_sentence(sentence, small) == want
-        sizes.update((len(small._verdicts), len(small._bags), len(small._candidates_by_tags)))
-    assert max(sizes) == 3
+    expected = []
+    for sentence in sentences:
+        fresh = _fresh(pack)
+        enriched = enrich_sentence(sentence, fresh)
+        expected.append((enriched, correct_sentence(enriched, [], fresh)))
+    assert expected[0][0].tokens[1].feats.get("Mood") == ("Des",)
+    warm = _fresh(pack)
+    # twice, so the second round resolves shapes the first one evicted
+    for sentence, (enriched, corrected) in zip(sentences * 2, expected * 2):
+        assert enrich_sentence(sentence, warm) == enriched
+        assert correct_sentence(enriched, [], warm) == corrected
+    for memo in (conllu._morphemes, warm.verdict, warm._winners_bag):
+        assert memo.cache_info().currsize <= MEMO_SIZE
+    assert warm.verdict.cache_info().currsize == MEMO_SIZE
+
+
+def test_rule_pack_copies_and_pickles(pack):
+    sentences = [make_sentence(words) for _, words, *_ in FAMILY_FIXTURES]
+    warm = _fresh(pack)
+    expected = [enrich_sentence(sentence, warm) for sentence in sentences]
+    for twin in (copy.copy(warm), copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
+        assert twin == warm
+        assert twin.verdict.cache_info().currsize == 0
+        assert [enrich_sentence(sentence, twin) for sentence in sentences] == expected
+
+
+def test_misaligned_token_fails_naming_itself(pack):
+    sentence = make_sentence([("학교", "학교", "NNG", "NOUN")])
+    misaligned = replace(sentence, tokens=(replace(sentence.tokens[0], lemma="학+교"),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"misalignment: 2 lemma.* in token 1 \('학교'\)"):
+            enrich_sentence(misaligned, pack)
 
 
 def test_replaced_pack_starts_with_an_empty_memo(pack):
@@ -345,23 +412,36 @@ def test_enrich_with_a_warm_pack_equals_a_fresh_pack_per_sentence(pack, text):
 
 # ----------------------------------------------------- transcription and MISC
 
-def test_transcribe_bare_ending():
-    assert transcribe_ending(_token("가서", "가+서", "VV+EC")) == ("Case", "seo")
-    assert transcribe_ending(_token("먹고", "먹+고", "VV+EC")) == ("Case", "go")
+def _without_conv(pack):
+    """The pack without its word-internal rule for -고, so 가고 has no pass-1 winner."""
+    return replace(pack, rules=tuple(r for r in pack.rules if r.id != "vform-conv"))
 
 
-def test_transcribe_drops_characters_feats_cannot_hold():
-    assert transcribe_ending(_token("가다가", "가+다가-", "VV+EC")) == ("Case", "daga")
-    assert transcribe_ending(_token("가…", "가+…", "VV+EC")) is None
+def test_transcribe_bare_ending(pack):
+    assert _ending(pack, "가+서", "VV+EC") == FeatureBag({"Case": ["seo"]})
+    assert _ending(_without_conv(pack), "먹+고", "VV+EC") == FeatureBag({"Case": ["go"]})
 
 
-def test_transcribe_suppressed_when_features_present():
-    token = replace(_token("가면", "가+면", "VV+EC"), feats=FeatureBag({"Mood": ["Cnd"]}))
-    assert transcribe_ending(token) is None
+def test_transcribe_drops_characters_feats_cannot_hold(pack):
+    assert _ending(pack, "가+다가-", "VV+EC") == FeatureBag({"Case": ["daga"]})
+    assert _ending(pack, "가+…", "VV+EC") is None
 
 
-def test_transcribe_requires_final_ec():
-    assert transcribe_ending(_token("학교", "학교", "NNG")) is None
+def test_transcribe_suppressed_when_features_present(pack):
+    # a word-internal winner leaves no transcription to resolve
+    assert _ending(pack, "가+면", "VV+EC") is None
+    # the lookahead rule's Mood=Des keeps the resolved Case=go out of FEATS
+    no_conv = _without_conv(pack)
+    assert _ending(no_conv, "가+고", "VV+EC") == FeatureBag({"Case": ["go"]})
+    words = [("가고", "가+고", "VV+EC", "VERB"), ("싶다", "싶+다", "VX+EF", "AUX")]
+    enriched = enrich_sentence(make_sentence(words), no_conv)
+    assert enriched.tokens[0].feats == FeatureBag({"Mood": ["Des"]})
+    alone = enrich_sentence(make_sentence(words[:1]), no_conv)
+    assert alone.tokens[0].feats == FeatureBag({"Case": ["go"]})
+
+
+def test_transcribe_requires_final_ec(pack):
+    assert _ending(pack, "학교", "NNG") is None
 
 
 def test_enrich_transcribes_unmatched_ending(pack):
@@ -390,11 +470,15 @@ def test_enrich_output_reads_back_validates_and_is_idempotent(pack, surface):
 
 
 def test_functional_words(pack):
-    assert tag_functional(_token("그", "그", "MM"), pack) is True
-    assert tag_functional(_token("더", "더", "MAG"), pack) is True
-    assert tag_functional(_token("굉장히", "굉장히", "MAG"), pack) is False
-    # particles attached: no longer a bare functional word
-    assert tag_functional(_token("그는", "그+는", "NP+JX"), pack) is False
+    words = [
+        ("그", "그", "MM", "DET"),
+        ("더", "더", "MAG", "ADV"),
+        ("굉장히", "굉장히", "MAG", "ADV"),
+        # particles attached: no longer a bare functional word
+        ("그는", "그+는", "NP+JX", "PRON"),
+    ]
+    enriched = enrich_sentence(make_sentence(words), pack)
+    assert [t.misc for t in enriched.tokens] == ["Functional=Yes", "Functional=Yes", "_", "_"]
 
 
 def test_enrich_sets_functional_misc_flag_once(pack):

@@ -12,26 +12,31 @@ import argparse
 import logging
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import AbstractContextManager, nullcontext
 from typing import Iterable, Iterator, TextIO
 
 from . import conllu, corrections, evaluate, itdata, rules
 
 RULES_ENV_VAR = "UDMORPH_RULES"
 
+_ENCODING = {"r": "utf-8-sig", "w": "utf-8"}
+
 logger = logging.getLogger("udmorph")
 
 
-def _open_input(stack: ExitStack, path: str) -> TextIO:
-    if path == "-":
-        return sys.stdin
-    return stack.enter_context(open(path, encoding="utf-8"))
+def _open(path: str, mode: str = "r") -> TextIO:
+    """`path` as UTF-8 text whatever the locale; reading drops a leading BOM."""
+    return open(path, mode, encoding=_ENCODING[mode])
 
 
-def _open_output(stack: ExitStack, path: str) -> TextIO:
-    if path == "-":
-        return sys.stdout
-    return stack.enter_context(open(path, "w", encoding="utf-8"))
+def _open_or_stdio(path: str, mode: str = "r") -> AbstractContextManager[TextIO]:
+    """`_open`, but '-' is stdin or stdout, set to the same encoding in place:
+    its newline and buffering handling stay, and it is never closed."""
+    if path != "-":
+        return _open(path, mode)
+    stdio = sys.stdin if mode == "r" else sys.stdout
+    stdio.reconfigure(encoding=_ENCODING[mode])
+    return nullcontext(stdio)
 
 
 def _load_pack(path: str | None) -> rules.RulePack:
@@ -39,7 +44,7 @@ def _load_pack(path: str | None) -> rules.RulePack:
         path = os.environ.get(RULES_ENV_VAR)
     if path is None:
         return rules.load_default_pack()
-    with open(path, encoding="utf-8") as stream:
+    with _open(path) as stream:
         return rules.load_rule_pack(stream)
 
 
@@ -47,19 +52,17 @@ def _require_readable(paths: Iterable[str | None]) -> None:
     """Fail fast on unreadable inputs before any output is produced."""
     for path in paths:
         if path is not None and path != "-":
-            with open(path, encoding="utf-8"):
+            with _open(path):
                 pass
 
 
-def _stream_sentences(stack: ExitStack, args: argparse.Namespace) -> Iterator[conllu.Sentence]:
+def _stream_sentences(args: argparse.Namespace) -> Iterator[conllu.Sentence]:
     for path in args.inputs:
-        stream = _open_input(stack, path)
-        try:
-            yield from conllu.iter_sentences(
-                stream, lenient=args.lenient, strip_bom=args.strip_bom
-            )
-        except conllu.ConlluError as error:
-            raise conllu.ConlluError(f"{path}: {error}") from None
+        with _open_or_stdio(path) as stream:
+            try:
+                yield from conllu.iter_sentences(stream, lenient=args.lenient)
+            except conllu.ConlluError as error:
+                raise conllu.ConlluError(f"{path}: {error}") from None
 
 
 def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
@@ -68,7 +71,6 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
     parser.add_argument("--lenient", action="store_true", help="map unknown XPOS tags to NA")
-    parser.add_argument("--strip-bom", action="store_true", help="tolerate a leading BOM")
 
 
 def _add_rules_argument(parser: argparse.ArgumentParser) -> None:
@@ -122,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions", help="predicted blocks, blank-line separated")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--strip-bom", action="store_true")
     p.add_argument(
         "--exclude-punct", action="store_true", help="skip PUNCT gold tokens when scoring"
     )
@@ -130,21 +131,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with ExitStack() as stack:
-        failures = 0
-        for index, sentence in enumerate(_stream_sentences(stack, args), start=1):
-            for diagnostic in conllu.validate([sentence], start=index):
-                print(diagnostic, file=sys.stderr)
-                failures += 1
+    failures = 0
+    for index, sentence in enumerate(_stream_sentences(args), start=1):
+        for diagnostic in conllu.validate([sentence], start=index):
+            print(diagnostic, file=sys.stderr)
+            failures += 1
     return 1 if failures else 0
 
 
 def _cmd_enrich(args: argparse.Namespace) -> int:
     _require_readable(args.inputs)
     pack = _load_pack(args.rules)
-    with ExitStack() as stack:
-        sink = _open_output(stack, args.output)
-        for sentence in _stream_sentences(stack, args):
+    with _open_or_stdio(args.output, "w") as sink:
+        for sentence in _stream_sentences(args):
             conllu.write_conllu([rules.enrich_sentence(sentence, pack)], sink)
     return 0
 
@@ -154,7 +153,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     pack = _load_pack(args.rules)
     aux_entries: list[corrections.AuxAnnotation] = []
     if args.aux is not None:
-        with open(args.aux, encoding="utf-8") as stream:
+        with _open(args.aux) as stream:
             aux_entries = corrections.read_aux_sidecar(stream)
     aux_by_sentence: dict[str, list[corrections.AuxAnnotation]] = {}
     for entry in aux_entries:
@@ -163,9 +162,8 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     all_records: list[corrections.CorrectionRecord] = []
     total_tokens = 0
     matched: set[str] = set()
-    with ExitStack() as stack:
-        sink = _open_output(stack, args.output)
-        for sentence in _stream_sentences(stack, args):
+    with _open_or_stdio(args.output, "w") as sink:
+        for sentence in _stream_sentences(args):
             total_tokens += len(sentence.tokens)
             entries = aux_by_sentence.get(sentence.sent_id or "", [])
             if entries:
@@ -181,44 +179,39 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             unmatched[0].sent_id,
         )
     if args.records is not None:
-        with open(args.records, "w", encoding="utf-8") as sink:
+        with _open(args.records, "w") as sink:
             corrections.write_records(all_records, total_tokens, sink)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    with ExitStack() as stack:
-        stream = _open_input(stack, args.input)
+    with _open_or_stdio(args.input) as stream:
         records, total = corrections.read_records(stream)
-        if args.total_tokens is not None:
-            total = args.total_tokens
-        if total is None:
-            raise corrections.CorrectionError(
-                "no total_tokens header in the log; pass --total-tokens"
-            )
-        stats = corrections.aggregate_stats(records, total)
-        sink = _open_output(stack, args.output)
+    if args.total_tokens is not None:
+        total = args.total_tokens
+    if total is None:
+        raise corrections.CorrectionError("no total_tokens header in the log; pass --total-tokens")
+    stats = corrections.aggregate_stats(records, total)
+    with _open_or_stdio(args.output, "w") as sink:
         sink.write(corrections.format_stats(stats))
     return 0
 
 
 def _cmd_convert_it(args: argparse.Namespace) -> int:
     _require_readable(args.inputs)
-    with ExitStack() as stack:
-        sink = _open_output(stack, args.output)
-        for sentence in _stream_sentences(stack, args):
+    with _open_or_stdio(args.output, "w") as sink:
+        for sentence in _stream_sentences(args):
             itdata.emit_jsonl([itdata.to_it_record(sentence, args.instruction)], sink)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    with ExitStack() as stack:
-        with open(args.gold, encoding="utf-8") as stream:
-            gold = conllu.parse_conllu(stream, lenient=args.lenient, strip_bom=args.strip_bom)
-        with open(args.predictions, encoding="utf-8") as stream:
-            predicted = itdata.read_prediction_blocks(stream)
-        report = evaluate.score(gold, predicted, exclude_punct=args.exclude_punct)
-        sink = _open_output(stack, args.output)
+    with _open(args.gold) as stream:
+        gold = conllu.parse_conllu(stream, lenient=args.lenient)
+    with _open(args.predictions) as stream:
+        predicted = itdata.read_prediction_blocks(stream)
+    report = evaluate.score(gold, predicted, exclude_punct=args.exclude_punct)
+    with _open_or_stdio(args.output, "w") as sink:
         sink.write(evaluate.format_report(report))
     return 0
 

@@ -354,13 +354,12 @@ def _parse_token(
     )
 
 
-def iter_sentences(
-    source: str | TextIO, *, lenient: bool = False, strip_bom: bool = False
-) -> Iterator[Sentence]:
-    """Stream sentences from CoNLL-U text.  Memory holds one sentence plus
-    the parsed FEATS memo, which keeps at most `MEMO_SIZE` cells.
-
-    Under `lenient`, each unknown XPOS tag is logged once, at the end."""
+def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[Sentence]:
+    """Stream sentences from decoded CoNLL-U text: open a file with
+    `encoding="utf-8-sig"`, as the CLI does, to drop a leading BOM.  Memory
+    holds one sentence plus the parsed FEATS memo, which keeps at most
+    `MEMO_SIZE` cells.  Under `lenient`, each unknown XPOS tag is logged
+    once, at the end."""
     stream = io.StringIO(source) if isinstance(source, str) else source
     comments: list[str] = []
     tokens: list[Token] = []
@@ -379,8 +378,6 @@ def iter_sentences(
     lineno = 0
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
-        if lineno == 1 and strip_bom and line.startswith("﻿"):
-            line = line.lstrip("﻿")
         if line == "":
             if comments or tokens or extras:
                 yield flush(lineno)
@@ -410,10 +407,8 @@ def iter_sentences(
                        code, count, first_line)
 
 
-def parse_conllu(
-    source: str | TextIO, *, lenient: bool = False, strip_bom: bool = False
-) -> list[Sentence]:
-    return list(iter_sentences(source, lenient=lenient, strip_bom=strip_bom))
+def parse_conllu(source: str | TextIO, *, lenient: bool = False) -> list[Sentence]:
+    return list(iter_sentences(source, lenient=lenient))
 
 
 def token_to_line(token: Token) -> str:
@@ -510,14 +505,19 @@ def _cycle_entries(heads: dict[int, int | None]) -> dict[int, int | None]:
 def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
     """Check every sentence/token/feature invariant; diagnostics, not raises.
 
-    A sentence without a `sent_id` is named by its position, counted from
+    A sentence without a `sent_id`, or whose `sent_id` holds a tab (which
+    no tab-separated file can carry), is named by its position, counted from
     `start`.  Linear in each sentence's length."""
     diagnostics: list[Diagnostic] = []
     for index, sentence in enumerate(sentences, start=start):
-        sid = sentence.sent_id or str(index)
+        sent_id = sentence.sent_id or ""
+        sid = sent_id if sent_id and "\t" not in sent_id else str(index)
 
         def report(token_id: int | None, rule: str, message: str, _sid=sid):
             diagnostics.append(Diagnostic(_sid, token_id, rule, message))
+
+        if "\t" in sent_id:
+            report(None, "sent-id", f"sent_id {sent_id!r} holds a tab")
 
         n = len(sentence.tokens)
         for position, token in enumerate(sentence.tokens, start=1):

@@ -270,8 +270,13 @@ def format_stats(stats: ConversionStats) -> str:
 
 
 def write_records(
-    records: Iterable[CorrectionRecord], total_tokens: int, sink: TextIO
+    records: Sequence[CorrectionRecord], total_tokens: int, sink: TextIO
 ) -> None:
+    """Write the log, or raise before writing anything if a sent_id holds a
+    tab, which would split its row."""
+    for rec in records:
+        if "\t" in rec.sent_id:
+            raise CorrectionError(f"sent_id {rec.sent_id!r} holds a tab, which splits a log row")
     sink.write(f"# total_tokens\t{total_tokens}\n")
     sink.write("# sent_id\ttoken_id\tfield\toriginal\tcorrected\trule_id\n")
     for rec in records:

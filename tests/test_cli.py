@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -17,6 +18,12 @@ def _write(path, text):
 
 
 BLANKED = FIG1_CONLLU.replace("Case=Disj", "_").replace("Case=Nom", "_").replace("Mood=Ind", "_")
+# FIG1's gold rows as a model would predict them, in the 8 columns of `convert-it`
+PREDICTIONS = "".join(
+    "\t".join(line.split("\t")[:8]) + "\n"
+    for line in FIG1_CONLLU.splitlines()
+    if line and not line.startswith("#")
+)
 
 
 def test_enrich_restores_reference_feats(tmp_path):
@@ -63,6 +70,12 @@ def test_validate_names_a_sentence_with_empty_sent_id_by_its_position(tmp_path, 
         "[root-count] 3: no root token (head == 0)",
         "[head-cycle] 3:1: head cycle through token 1",
     ]
+
+
+def test_validate_names_a_sentence_whose_sent_id_holds_a_tab_by_its_position(tmp_path, capsys):
+    text = FIG1_CONLLU + "# sent_id = a\tb\n1\t하나\t하나\tNUM\tNR\t_\t0\troot\t_\t_\n\n"
+    assert main(["validate", _write(tmp_path / "in.conllu", text)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["[sent-id] 2: sent_id 'a\\tb' holds a tab"]
 
 
 def test_format_errors_exit_2(tmp_path, capsys):
@@ -130,6 +143,11 @@ def test_format_errors_exit_2(tmp_path, capsys):
             {"in.conllu": FIG1_CONLLU, "aux.tsv": "fixture-1\t1\tPER\t_\nfixture-1\t1\t_\t_\n"},
             "line 2: second aux entry for token fixture-1:1 (first on line 1)",
         ),
+        (
+            ["correct", "in.conllu", "--records", "log.tsv"],
+            {"in.conllu": "# sent_id = a\tb\n1\t가격에\t가격+에\tADV\tNNG+JKB\t_\t0\troot\t_\t_\n\n"},
+            "sent_id 'a\\tb' holds a tab",
+        ),
     ],
     ids=[
         "head",
@@ -143,9 +161,11 @@ def test_format_errors_exit_2(tmp_path, capsys):
         "head-too-many-digits",
         "id-too-many-digits",
         "aux-duplicate-entry",
+        "log-sent-id-tab",
     ],
 )
-def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv, files, message):
+def test_bad_input_exits_2_with_a_message(tmp_path, monkeypatch, capsys, argv, files, message):
+    monkeypatch.chdir(tmp_path)  # outputs named relatively land here
     for name, content in files.items():
         if isinstance(content, bytes):
             (tmp_path / name).write_bytes(content)
@@ -230,12 +250,7 @@ def test_convert_it_jsonl(tmp_path):
 
 def test_eval_identity(tmp_path, capsys):
     gold = _write(tmp_path / "gold.conllu", FIG1_CONLLU)
-    rows = [
-        "\t".join(line.split("\t")[:8])
-        for line in FIG1_CONLLU.splitlines()
-        if line and not line.startswith("#")
-    ]
-    pred = _write(tmp_path / "pred.txt", "\n".join(rows) + "\n")
+    pred = _write(tmp_path / "pred.txt", PREDICTIONS)
     assert main(["eval", gold, pred]) == 0
     captured = capsys.readouterr().out
     assert "uas\t100.00" in captured
@@ -277,20 +292,111 @@ def test_rules_env_var_sets_default_pack(tmp_path, monkeypatch):
     assert "Number=Plur" in out.read_text(encoding="utf-8")
 
 
-def test_strip_bom_flag(tmp_path):
-    src = tmp_path / "bom.conllu"
-    src.write_text("﻿" + FIG1_CONLLU, encoding="utf-8")
-    assert main(["validate", str(src)]) == 2  # BOM corrupts the first comment
-    assert main(["validate", str(src), "--strip-bom"]) == 0
+_TINY_PACK = "#unidive-rules v1\nlanguage ko\nrule only 10 tag=NNG => Number=Plur\n"
+
+
+@pytest.mark.parametrize(
+    "argv,files,target",
+    [
+        (["enrich", "in.conllu", "-o", "out"], {"in.conllu": BLANKED}, "in.conllu"),
+        (["enrich", "-", "-o", "out"], {"-": BLANKED}, "-"),
+        (
+            ["eval", "gold.conllu", "pred.txt", "-o", "out"],
+            {"gold.conllu": FIG1_CONLLU, "pred.txt": PREDICTIONS},
+            "gold.conllu",
+        ),
+        (
+            ["eval", "gold.conllu", "pred.txt", "-o", "out"],
+            {"gold.conllu": FIG1_CONLLU, "pred.txt": PREDICTIONS},
+            "pred.txt",
+        ),
+        (
+            ["correct", "in.conllu", "--aux", "aux.tsv", "--records", "log.tsv", "-o", "out"],
+            {"in.conllu": FIG1_CONLLU, "aux.tsv": "fixture-1\t1\tPER\t_\n"},
+            "aux.tsv",
+        ),
+        (
+            ["enrich", "in.conllu", "--rules", "tiny.rules", "-o", "out"],
+            {"in.conllu": BLANKED, "tiny.rules": _TINY_PACK},
+            "tiny.rules",
+        ),
+        (
+            ["stats", "log.tsv", "-o", "out"],
+            {"log.tsv": "# total_tokens\t10\ns1\t1\tUPOS\tADV\tNOUN\tr\n"},
+            "log.tsv",
+        ),
+    ],
+    ids=["corpus", "stdin", "eval-gold", "eval-predictions", "aux", "rules", "log"],
+)
+def test_a_leading_bom_is_ignored_on_every_input(tmp_path, monkeypatch, argv, files, target):
+    def run(bom: bool) -> tuple[int, dict[str, bytes]]:
+        workdir = tmp_path / ("bom" if bom else "plain")
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        for name, text in files.items():
+            data = (("\ufeff" if bom and name == target else "") + text).encode("utf-8")
+            if name == "-":
+                stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+                monkeypatch.setattr(sys, "stdin", stdin)
+            else:
+                (workdir / name).write_bytes(data)
+        status = main(argv)
+        return status, {p.name: p.read_bytes() for p in workdir.iterdir() if p.name not in files}
+
+    plain = run(bom=False)
+    assert plain[0] == 0 and plain[1]["out"]
+    assert run(bom=True) == plain
+
+
+def _child_env() -> dict[str, str]:
+    """The environment for a child `python -m udmorph` that imports the same
+    udmorph checkout as this test, from any working directory, and never an
+    installed copy."""
+    env = dict(os.environ)
+    package_root = str(Path(udmorph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "cp949"])
+def test_stdin_and_stdout_are_utf8_whatever_the_locale(encoding):
+    def enrich(io_encoding: str) -> subprocess.CompletedProcess:
+        env = _child_env()
+        env["PYTHONIOENCODING"] = io_encoding
+        return subprocess.run(
+            [sys.executable, "-m", "udmorph", "enrich", "-"],
+            input=BLANKED.encode("utf-8"),
+            capture_output=True,
+            env=env,
+        )
+
+    reference = enrich("utf-8")
+    assert (reference.returncode, reference.stdout) == (0, FIG1_CONLLU.encode("utf-8"))
+    result = enrich(encoding)
+    assert (result.returncode, result.stdout, result.stderr) == (0, reference.stdout, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enrich", "missing.conllu", "-o", "out"],
+        ["convert-it", "missing.conllu", "-o", "out"],
+        ["correct", "missing.conllu", "-o", "out"],
+        ["correct", "in.conllu", "--aux", "missing.tsv", "-o", "out"],
+    ],
+    ids=["enrich-corpus", "convert-it-corpus", "correct-corpus", "correct-aux"],
+)
+def test_a_missing_input_exits_2_before_any_output(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "in.conllu", FIG1_CONLLU)
+    assert main(argv) == 2
+    assert "missing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_shell_pipeline_composes(tmp_path):
     src = _write(tmp_path / "in.conllu", BLANKED)
-    # The children import the same udmorph checkout as this test, from any
-    # working directory, and never an installed copy.
-    env = dict(os.environ)
-    package_root = str(Path(udmorph.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = _child_env()
     stages = [["enrich", src], ["correct", "-"], ["convert-it", "-"]]
     processes, upstream = [], None
     for args in stages:

@@ -293,6 +293,17 @@ def test_records_round_trip_through_log():
     assert total == 42
 
 
+def test_log_refuses_a_sent_id_holding_a_tab_before_writing_anything():
+    records = [
+        _record("UPOS", "ADV", "NOUN"),
+        CorrectionRecord("a\tb", 1, "UPOS", "ADV", "NOUN", "r"),
+    ]
+    sink = io.StringIO()
+    with pytest.raises(CorrectionError, match=r"sent_id 'a\\tb' holds a tab"):
+        write_records(records, 2, sink)
+    assert sink.getvalue() == ""
+
+
 def test_sidecar_parsing():
     text = "# comment\ns1\t1\tLOC\tNNP\ns1\t2\t_\t_\ns2\t1\tPER\tNNG+JKS\n"
     entries = read_aux_sidecar(text)

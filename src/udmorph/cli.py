@@ -1,9 +1,13 @@
 """Command-line pipeline: validate, enrich, correct, stats, convert-it, eval.
 
 Data flows on stdout, diagnostics on stderr, so stages compose in shell
-pipelines (`udmorph enrich x.conllu | udmorph correct - | ...`).  Sentences
-stream one at a time; outputs are byte-deterministic for identical inputs.
-Exit codes: 0 success, 1 validation failure, 2 I/O or format error.
+pipelines (`udmorph enrich x.conllu | udmorph correct - | ...`).  Every input
+argument reads stdin for `-`, at most one per command.  Sentences stream one
+at a time; outputs are byte-deterministic for identical inputs.  Exit codes:
+0 success, 1 validation failure, 2 I/O or format error.
+
+Each `_cmd_*` imports only the stages it runs and calls them through their
+module (`rules.enrich_sentence`), so a swapped module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -13,13 +17,16 @@ import logging
 import os
 import sys
 from contextlib import AbstractContextManager, nullcontext
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
-from . import conllu, corrections, evaluate, itdata, rules
+from . import conllu
 
 RULES_ENV_VAR = "UDMORPH_RULES"
 
 _ENCODING = {"r": "utf-8-sig", "w": "utf-8"}
+
+# Input arguments that name one file each; `inputs` names any number.
+_SINGLE_INPUTS = ("input", "gold", "predictions", "rules", "aux")
 
 logger = logging.getLogger("udmorph")
 
@@ -30,28 +37,36 @@ def _open(path: str, mode: str = "r") -> TextIO:
 
 
 def _open_or_stdio(path: str, mode: str = "r") -> AbstractContextManager[TextIO]:
-    """`_open`, but '-' is stdin or stdout, set to the same encoding in place:
-    its newline and buffering handling stay, and it is never closed."""
+    """`_open`, but '-' is stdin or stdout, set to the same encoding in place
+    and never closed; stdin also translates line endings as `_open` does."""
     if path != "-":
         return _open(path, mode)
-    stdio = sys.stdin if mode == "r" else sys.stdout
-    stdio.reconfigure(encoding=_ENCODING[mode])
-    return nullcontext(stdio)
+    if mode == "r":
+        sys.stdin.reconfigure(encoding=_ENCODING[mode], newline=None)
+        return nullcontext(sys.stdin)
+    sys.stdout.reconfigure(encoding=_ENCODING[mode])
+    return nullcontext(sys.stdout)
 
 
 def _load_pack(path: str | None) -> rules.RulePack:
-    if path is None:
-        path = os.environ.get(RULES_ENV_VAR)
+    from . import rules
+
     if path is None:
         return rules.load_default_pack()
-    with _open(path) as stream:
+    with _open_or_stdio(path) as stream:
         return rules.load_rule_pack(stream)
 
 
-def _require_readable(paths: Iterable[str | None]) -> None:
-    """Fail fast on unreadable inputs before any output is produced."""
-    for path in paths:
-        if path is not None and path != "-":
+def _require_inputs(args: argparse.Namespace) -> None:
+    """Fail fast, before any output is produced, on an unreadable input or on
+    stdin ('-') named for more than one input."""
+    given = [("inputs", path) for path in getattr(args, "inputs", [])]
+    given += [(name, getattr(args, name, None)) for name in _SINGLE_INPUTS]
+    stdin = [name for name, path in given if path == "-"]
+    if len(stdin) > 1:
+        raise conllu.UdmorphError(f"more than one input reads stdin ('-'): {', '.join(stdin)}")
+    for _, path in given:
+        if path not in (None, "-"):
             with _open(path):
                 pass
 
@@ -76,7 +91,7 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_rules_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rules",
-        default=None,
+        default=os.environ.get(RULES_ENV_VAR),
         help=f"rule-pack file (default: ${RULES_ENV_VAR} or the packaged Korean pack)",
     )
 
@@ -115,13 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_io_arguments(p)
     p.add_argument(
         "--instruction",
-        default=itdata.DEFAULT_INSTRUCTION,
-        help="instruction text placed before the input block",
+        default=None,
+        help="instruction text placed before the input block (default: the packaged one)",
     )
 
     p = sub.add_parser("eval", help="score predictions against gold (UAS/LAS)")
-    p.add_argument("gold", help="gold CoNLL-U file")
-    p.add_argument("predictions", help="predicted blocks, blank-line separated")
+    p.add_argument("gold", help="gold CoNLL-U file, '-' for stdin")
+    p.add_argument("predictions", help="predicted blocks, blank-line separated, '-' for stdin")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--lenient", action="store_true")
     p.add_argument(
@@ -140,7 +155,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enrich(args: argparse.Namespace) -> int:
-    _require_readable(args.inputs)
+    from . import rules
+
     pack = _load_pack(args.rules)
     with _open_or_stdio(args.output, "w") as sink:
         for sentence in _stream_sentences(args):
@@ -149,11 +165,12 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
 
 
 def _cmd_correct(args: argparse.Namespace) -> int:
-    _require_readable(args.inputs + [args.aux])
+    from . import corrections
+
     pack = _load_pack(args.rules)
     aux_entries: list[corrections.AuxAnnotation] = []
     if args.aux is not None:
-        with _open(args.aux) as stream:
+        with _open_or_stdio(args.aux) as stream:
             aux_entries = corrections.read_aux_sidecar(stream)
     aux_by_sentence: dict[str, list[corrections.AuxAnnotation]] = {}
     for entry in aux_entries:
@@ -185,6 +202,8 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from . import corrections
+
     with _open_or_stdio(args.input) as stream:
         records, total = corrections.read_records(stream)
     if args.total_tokens is not None:
@@ -198,17 +217,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert_it(args: argparse.Namespace) -> int:
-    _require_readable(args.inputs)
+    from . import itdata
+
+    instruction = itdata.DEFAULT_INSTRUCTION if args.instruction is None else args.instruction
     with _open_or_stdio(args.output, "w") as sink:
         for sentence in _stream_sentences(args):
-            itdata.emit_jsonl([itdata.to_it_record(sentence, args.instruction)], sink)
+            itdata.emit_jsonl([itdata.to_it_record(sentence, instruction)], sink)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    with _open(args.gold) as stream:
+    from . import evaluate, itdata
+
+    with _open_or_stdio(args.gold) as stream:
         gold = conllu.parse_conllu(stream, lenient=args.lenient)
-    with _open(args.predictions) as stream:
+    with _open_or_stdio(args.predictions) as stream:
         predicted = itdata.read_prediction_blocks(stream)
     report = evaluate.score(gold, predicted, exclude_punct=args.exclude_punct)
     with _open_or_stdio(args.output, "w") as sink:
@@ -230,15 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
+        _require_inputs(args)
         return _COMMANDS[args.command](args)
-    except (
-        conllu.ConlluError,
-        rules.RulePackError,
-        corrections.CorrectionError,
-        evaluate.EvalError,
-        OSError,
-        UnicodeDecodeError,
-    ) as error:
+    except (conllu.UdmorphError, OSError, UnicodeDecodeError) as error:
         print(f"udmorph {args.command}: {error}", file=sys.stderr)
         return 2
 

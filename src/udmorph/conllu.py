@@ -81,14 +81,19 @@ _RANGE_ID_RE = re.compile(r"[0-9]+-[0-9]+\Z")
 _EMPTY_ID_RE = re.compile(r"[0-9]+\.[0-9]+\Z")
 
 
-class ConlluError(ValueError):
-    """Malformed CoNLL-U input; carries the offending 1-based line number."""
+class UdmorphError(ValueError):
+    """Bad input to any udmorph stage; carries the offending 1-based line
+    number, when there is one, and names it before the message."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ConlluError(UdmorphError):
+    """Malformed CoNLL-U input."""
 
 
 class FeatureBag:

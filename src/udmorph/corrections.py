@@ -13,19 +13,27 @@ import io
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
-from .conllu import CANONICAL_UPOS, SEJONG_TAGS, Sentence, Token, _split_plus, canonical_upos
+from .conllu import (
+    CANONICAL_UPOS,
+    SEJONG_TAGS,
+    Sentence,
+    Token,
+    UdmorphError,
+    _split_plus,
+    canonical_upos,
+)
 from .rules import RulePack
 
 
-class CorrectionError(ValueError):
-    pass
+class CorrectionError(UdmorphError):
+    """Malformed aux sidecar or correction log, or a record that fits no token."""
 
 
 def _parse_int(text: str, name: str, lineno: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise CorrectionError(f"line {lineno}: {name} must be an integer, got {text!r}") from None
+        raise CorrectionError(f"{name} must be an integer, got {text!r}", line=lineno) from None
 
 
 @dataclass(frozen=True)
@@ -301,11 +309,11 @@ def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | No
             continue
         fields = line.split("\t")
         if len(fields) != 6:
-            raise CorrectionError(f"line {lineno}: expected 6 columns, got {len(fields)}")
+            raise CorrectionError(f"expected 6 columns, got {len(fields)}", line=lineno)
         sent_id, token_id, field_name, original, corrected, rule_id = fields
         token_number = _parse_int(token_id, "token_id", lineno)
         if token_number < 1:
-            raise CorrectionError(f"line {lineno}: token_id must be at least 1, got {token_number}")
+            raise CorrectionError(f"token_id must be at least 1, got {token_number}", line=lineno)
         records.append(
             CorrectionRecord(
                 sent_id="" if sent_id == "_" else sent_id,
@@ -331,10 +339,10 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
             continue
         fields = line.split("\t")
         if len(fields) != 4:
-            raise CorrectionError(f"line {lineno}: expected 4 columns, got {len(fields)}")
+            raise CorrectionError(f"expected 4 columns, got {len(fields)}", line=lineno)
         sent_id, token_id, ner_label, ext_xpos = fields
         if not sent_id:
-            raise CorrectionError(f"line {lineno}: empty sent_id")
+            raise CorrectionError("empty sent_id", line=lineno)
         ext: tuple[str, ...] | None
         if ext_xpos == "_":
             ext = None
@@ -342,13 +350,13 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
             ext = tuple(ext_xpos.split("+"))
             for code in ext:
                 if code not in SEJONG_TAGS:
-                    raise CorrectionError(f"line {lineno}: unknown XPOS tag {code!r}")
+                    raise CorrectionError(f"unknown XPOS tag {code!r}", line=lineno)
         token_number = _parse_int(token_id, "token_id", lineno)
         first = first_lines.setdefault((sent_id, token_number), lineno)
         if first != lineno:
             raise CorrectionError(
-                f"line {lineno}: second aux entry for token {sent_id}:{token_number} "
-                f"(first on line {first})"
+                f"second aux entry for token {sent_id}:{token_number} (first on line {first})",
+                line=lineno,
             )
         entries.append(
             AuxAnnotation(

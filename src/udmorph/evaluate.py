@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
-from .conllu import Sentence
+from .conllu import Sentence, UdmorphError
 from .itdata import ParsedRow
 
 
-class EvalError(ValueError):
-    pass
+class EvalError(UdmorphError):
+    """Predictions that cannot be aligned with their gold sentences."""
 
 
 def _percentage(numerator: int, denominator: int) -> float:

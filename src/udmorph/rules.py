@@ -40,6 +40,7 @@ from .conllu import (
     FeatureBag,
     Morpheme,
     Sentence,
+    UdmorphError,
 )
 from .romanize import romanize
 
@@ -71,11 +72,8 @@ _VOICE_PRIORITY_BASE = 9000
 _NON_FEAT_CHARS = re.compile(r"[^A-Za-z0-9]")
 
 
-class RulePackError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class RulePackError(UdmorphError):
+    """Malformed rule pack."""
 
 
 @dataclass(frozen=True)

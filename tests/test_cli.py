@@ -248,6 +248,15 @@ def test_convert_it_jsonl(tmp_path):
     assert payload["output_offset"] == len("구문을 분석해줘") + 1 + len(payload["input"])
 
 
+def test_convert_it_writes_an_explicitly_empty_instruction(tmp_path):
+    src = _write(tmp_path / "in.conllu", FIG1_CONLLU)
+    out = tmp_path / "it.jsonl"
+    assert main(["convert-it", src, "-o", str(out), "--instruction", ""]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["instruction"] == ""
+    assert payload["output_offset"] == 1 + len(payload["input"])
+
+
 def test_eval_identity(tmp_path, capsys):
     gold = _write(tmp_path / "gold.conllu", FIG1_CONLLU)
     pred = _write(tmp_path / "pred.txt", PREDICTIONS)
@@ -293,6 +302,11 @@ def test_rules_env_var_sets_default_pack(tmp_path, monkeypatch):
 
 
 _TINY_PACK = "#unidive-rules v1\nlanguage ko\nrule only 10 tag=NNG => Number=Plur\n"
+_AUX = "fixture-1\t1\tPER\t_\n"
+_LOG = "# total_tokens\t10\ns1\t1\tUPOS\tADV\tNOUN\tr\n"
+
+# Each variant of an input must read as its plain text does.
+_VARIANTS = {"bom": lambda text: "\ufeff" + text, "crlf": lambda text: text.replace("\n", "\r\n")}
 
 
 @pytest.mark.parametrize(
@@ -312,7 +326,7 @@ _TINY_PACK = "#unidive-rules v1\nlanguage ko\nrule only 10 tag=NNG => Number=Plu
         ),
         (
             ["correct", "in.conllu", "--aux", "aux.tsv", "--records", "log.tsv", "-o", "out"],
-            {"in.conllu": FIG1_CONLLU, "aux.tsv": "fixture-1\t1\tPER\t_\n"},
+            {"in.conllu": FIG1_CONLLU, "aux.tsv": _AUX},
             "aux.tsv",
         ),
         (
@@ -320,32 +334,69 @@ _TINY_PACK = "#unidive-rules v1\nlanguage ko\nrule only 10 tag=NNG => Number=Plu
             {"in.conllu": BLANKED, "tiny.rules": _TINY_PACK},
             "tiny.rules",
         ),
+        (["stats", "log.tsv", "-o", "out"], {"log.tsv": _LOG}, "log.tsv"),
         (
-            ["stats", "log.tsv", "-o", "out"],
-            {"log.tsv": "# total_tokens\t10\ns1\t1\tUPOS\tADV\tNOUN\tr\n"},
-            "log.tsv",
+            ["eval", "-", "pred.txt", "-o", "out"],
+            {"-": FIG1_CONLLU, "pred.txt": PREDICTIONS},
+            "-",
         ),
+        (
+            ["eval", "gold.conllu", "-", "-o", "out"],
+            {"gold.conllu": FIG1_CONLLU, "-": PREDICTIONS},
+            "-",
+        ),
+        (
+            ["correct", "in.conllu", "--aux", "-", "--records", "log.tsv", "-o", "out"],
+            {"in.conllu": FIG1_CONLLU, "-": _AUX},
+            "-",
+        ),
+        (
+            ["enrich", "in.conllu", "--rules", "-", "-o", "out"],
+            {"in.conllu": BLANKED, "-": _TINY_PACK},
+            "-",
+        ),
+        (["stats", "-", "-o", "out"], {"-": _LOG}, "-"),
     ],
-    ids=["corpus", "stdin", "eval-gold", "eval-predictions", "aux", "rules", "log"],
+    ids=[
+        "corpus",
+        "stdin",
+        "eval-gold",
+        "eval-predictions",
+        "aux",
+        "rules",
+        "log",
+        "eval-gold-stdin",
+        "eval-predictions-stdin",
+        "aux-stdin",
+        "rules-stdin",
+        "log-stdin",
+    ],
 )
 def test_a_leading_bom_is_ignored_on_every_input(tmp_path, monkeypatch, argv, files, target):
-    def run(bom: bool) -> tuple[int, dict[str, bytes]]:
-        workdir = tmp_path / ("bom" if bom else "plain")
+    """A leading BOM and CRLF line endings read as the plain text does, from
+    a file or from stdin."""
+
+    def run(variant: str) -> tuple[int, dict[str, bytes]]:
+        workdir = tmp_path / variant
         workdir.mkdir()
         monkeypatch.chdir(workdir)
         for name, text in files.items():
-            data = (("\ufeff" if bom and name == target else "") + text).encode("utf-8")
+            if name == target and variant in _VARIANTS:
+                text = _VARIANTS[variant](text)
+            data = text.encode("utf-8")
             if name == "-":
-                stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+                # as CPython builds stdin on POSIX: no newline translation
+                stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
                 monkeypatch.setattr(sys, "stdin", stdin)
             else:
                 (workdir / name).write_bytes(data)
         status = main(argv)
         return status, {p.name: p.read_bytes() for p in workdir.iterdir() if p.name not in files}
 
-    plain = run(bom=False)
+    plain = run("plain")
     assert plain[0] == 0 and plain[1]["out"]
-    assert run(bom=True) == plain
+    for variant in _VARIANTS:
+        assert run(variant) == plain, variant
 
 
 def _child_env() -> dict[str, str]:
@@ -392,6 +443,102 @@ def test_a_missing_input_exits_2_before_any_output(tmp_path, monkeypatch, capsys
     assert main(argv) == 2
     assert "missing" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["eval", "-", "-", "-o", "out"], "gold, predictions"),
+        (["correct", "-", "--aux", "-", "-o", "out"], "inputs, aux"),
+        (["correct", "--aux", "-", "-o", "out"], "inputs, aux"),
+        (["enrich", "in.conllu", "-", "--rules", "-", "-o", "out"], "inputs, rules"),
+    ],
+    ids=["eval", "correct", "correct-default-corpus", "enrich-rules"],
+)
+def test_stdin_for_more_than_one_input_exits_2_before_any_output(
+    tmp_path, monkeypatch, capsys, argv, names
+):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "in.conllu", FIG1_CONLLU)
+    assert main(argv) == 2
+    assert f"more than one input reads stdin ('-'): {names}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Runs `udmorph.cli.main` on the arguments, if any, in a fresh interpreter
+# and prints the udmorph modules it loaded.
+_LOADED_MODULES = """
+import sys
+import udmorph
+if sys.argv[1:]:
+    import udmorph.cli
+    udmorph.cli.main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("udmorph."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        ([], ""),
+        (["validate", "in.conllu"], "cli conllu"),
+        (["convert-it", "in.conllu", "-o", "out"], "cli conllu itdata"),
+        (["eval", "in.conllu", "pred.txt", "-o", "out"], "cli conllu evaluate itdata"),
+        (["enrich", "in.conllu", "-o", "out"], "cli conllu data romanize rules"),
+    ],
+    ids=["import", "validate", "convert-it", "eval", "enrich"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    _write(tmp_path / "in.conllu", FIG1_CONLLU)
+    _write(tmp_path / "pred.txt", PREDICTIONS)
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert loaded == [f"udmorph.{name}" for name in modules.split()]
+
+
+def test_the_public_names_resolve_on_first_use():
+    assert sorted(udmorph.__all__) == [
+        "AuxAnnotation",
+        "ConversionStats",
+        "CorrectionRecord",
+        "DeltaReport",
+        "Diagnostic",
+        "EvalReport",
+        "FeatureBag",
+        "ITRecord",
+        "Morpheme",
+        "ParsedRow",
+        "Rule",
+        "RulePack",
+        "Sentence",
+        "Token",
+        "aggregate_stats",
+        "assign_features",
+        "compare",
+        "correct_sentence",
+        "emit_jsonl",
+        "enrich_sentence",
+        "from_it_output",
+        "load_default_pack",
+        "load_rule_pack",
+        "parse_conllu",
+        "score",
+        "serialize_conllu",
+        "to_it_record",
+        "validate",
+    ]
+    for name in udmorph.__all__:
+        assert getattr(udmorph, name).__name__ == name
+    assert udmorph.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        udmorph.no_such_name
 
 
 def test_shell_pipeline_composes(tmp_path):

@@ -363,3 +363,17 @@ def test_literal_plus_token():
     assert sentences[0].tokens[0].morphemes == (("+", "SW"),)
     assert serialize_conllu(sentences) == text
     assert validate(sentences) == []
+
+
+def test_every_bad_input_error_is_one_udmorph_error_that_names_its_line():
+    from udmorph.conllu import ConlluError, UdmorphError
+    from udmorph.corrections import CorrectionError
+    from udmorph.evaluate import EvalError
+    from udmorph.rules import RulePackError
+
+    for error_class in (ConlluError, RulePackError, CorrectionError, EvalError):
+        assert issubclass(error_class, UdmorphError)
+        error = error_class("empty sent_id", line=3)
+        assert (str(error), error.line) == ("line 3: empty sent_id", 3)
+        assert (str(error_class("no rules")), error_class("no rules").line) == ("no rules", None)
+    assert issubclass(UdmorphError, ValueError)

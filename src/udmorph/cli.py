@@ -3,7 +3,8 @@
 Data flows on stdout, diagnostics on stderr, so stages compose in shell
 pipelines (`udmorph enrich x.conllu | udmorph correct - | ...`).  Every input
 argument reads stdin for `-`, at most one per command.  Sentences stream one
-at a time; outputs are byte-deterministic for identical inputs.  Exit codes:
+at a time in every command, `eval`'s gold and predictions in step; outputs are
+byte-deterministic for identical inputs.  Exit codes:
 0 success, 1 validation failure, 2 I/O or format error.
 
 Each `_cmd_*` imports only the stages it runs and calls them through their
@@ -229,11 +230,12 @@ def _cmd_convert_it(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluate, itdata
 
-    with _open_or_stdio(args.gold) as stream:
-        gold = conllu.parse_conllu(stream, lenient=args.lenient)
-    with _open_or_stdio(args.predictions) as stream:
-        predicted = itdata.read_prediction_blocks(stream)
-    report = evaluate.score(gold, predicted, exclude_punct=args.exclude_punct)
+    with _open_or_stdio(args.gold) as gold, _open_or_stdio(args.predictions) as predicted:
+        report = evaluate.score(
+            conllu.iter_sentences(gold, lenient=args.lenient),
+            itdata.iter_prediction_blocks(predicted),
+            exclude_punct=args.exclude_punct,
+        )
     with _open_or_stdio(args.output, "w") as sink:
         sink.write(evaluate.format_report(report))
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .conllu import (
     CANONICAL_UPOS,
@@ -22,7 +22,9 @@ from .conllu import (
     _split_plus,
     canonical_upos,
 )
-from .rules import RulePack
+
+if TYPE_CHECKING:  # annotations only: `stats` runs no rule and loads no `rules`
+    from .rules import RulePack
 
 
 class CorrectionError(UdmorphError):

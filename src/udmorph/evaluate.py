@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Sequence
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
 from .conllu import Sentence, UdmorphError
 from .itdata import ParsedRow
@@ -21,6 +22,9 @@ from .itdata import ParsedRow
 
 class EvalError(UdmorphError):
     """Predictions that cannot be aligned with their gold sentences."""
+
+
+_END = object()  # pads the shorter side in `score`
 
 
 def _percentage(numerator: int, denominator: int) -> float:
@@ -54,18 +58,22 @@ class DeltaReport:
 
 
 def score(
-    gold: Sequence[Sentence],
-    predicted: Sequence[Sequence[ParsedRow]],
+    gold: Iterable[Sentence],
+    predicted: Iterable[Sequence[ParsedRow]],
     *,
     exclude_punct: bool = False,
 ) -> EvalReport:
-    """Score sentence-aligned predictions; all tokens count unless excluded."""
-    if len(gold) != len(predicted):
-        raise EvalError(
-            f"sentence count mismatch: {len(gold)} gold vs {len(predicted)} predicted"
-        )
+    """Score sentence-aligned predictions; all tokens count unless excluded.
+
+    Both sides are drawn in step, one sentence each, so iterators stream.
+    Both are read to the end before a count mismatch is raised."""
     total = head_correct = both_correct = unmatched = missing = 0
-    for sentence, rows in zip(gold, predicted):
+    gold_count = predicted_count = 0
+    for sentence, rows in zip_longest(gold, predicted, fillvalue=_END):
+        gold_count += sentence is not _END
+        predicted_count += rows is not _END
+        if sentence is _END or rows is _END:
+            continue
         gold_ids = {t.id for t in sentence.tokens}
         claims: dict[int, set[tuple[int | None, str | None]]] = {}
         copies: dict[int, int] = {}
@@ -95,6 +103,10 @@ def score(
                 head_correct += 1
                 if deprel is not None and deprel == token.deprel:
                     both_correct += 1
+    if gold_count != predicted_count:
+        raise EvalError(
+            f"sentence count mismatch: {gold_count} gold vs {predicted_count} predicted"
+        )
     return EvalReport(total, head_correct, both_correct, unmatched, missing)
 
 

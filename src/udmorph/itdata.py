@@ -19,7 +19,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .conllu import Sentence, Token
 
@@ -128,8 +128,27 @@ def emit_jsonl(records: Iterable[ITRecord], sink: TextIO) -> int:
     return count
 
 
+def iter_prediction_blocks(source: str | TextIO) -> Iterator[list[ParsedRow]]:
+    """Stream the rows of each prediction block, one block per sentence.
+
+    A block is a run of lines that are not blank, and a line of whitespace
+    alone is blank, as splitting the text on `\\n\\s*\\n` would have it.  A
+    `str` breaks into lines at `\\n` only; a stream breaks as it was opened.
+    Memory holds one block.
+    """
+    stream = io.StringIO(source) if isinstance(source, str) else source
+    block: list[str] = []
+    for line in stream:
+        if not line.isspace():
+            block.append(line)
+        elif block:
+            yield from_it_output("".join(block))
+            block.clear()
+    if block:
+        yield from_it_output("".join(block))
+
+
 def read_prediction_blocks(source: str | TextIO) -> list[list[ParsedRow]]:
-    """Split a predictions file on blank lines; one block per sentence."""
-    text = source if isinstance(source, str) else source.read()
-    blocks = [block for block in re.split(r"\n\s*\n", text) if block.strip()]
-    return [from_it_output(block) for block in blocks]
+    """Every block of `iter_prediction_blocks` in one list, for a caller that
+    wants them all at once; the CLI streams them instead."""
+    return list(iter_prediction_blocks(source))

@@ -273,6 +273,49 @@ def test_eval_exclude_punct(tmp_path, capsys):
     assert "total\t5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "gold,predictions,message",
+    [
+        (FIG1_CONLLU * 3, PREDICTIONS, "sentence count mismatch: 3 gold vs 1 predicted"),
+        (FIG1_CONLLU, "\n".join([PREDICTIONS] * 3), "sentence count mismatch: 1 gold vs 3 predicted"),
+        # the gold error wins over the count mismatch it also has
+        (FIG1_CONLLU + "1\tx\n", PREDICTIONS, "line 10: expected 10 tab-separated columns, got 2"),
+    ],
+    ids=["more-gold", "more-predictions", "malformed-gold"],
+)
+def test_eval_errors_exit_2_and_write_no_report(tmp_path, capsys, gold, predictions, message):
+    gold_path = _write(tmp_path / "gold.conllu", gold)
+    predictions_path = _write(tmp_path / "pred.txt", predictions)
+    report = tmp_path / "report.txt"
+    assert main(["eval", gold_path, predictions_path, "-o", str(report)]) == 2
+    assert capsys.readouterr().err == f"udmorph eval: {message}\n"
+    assert not report.exists()
+
+
+def test_eval_reads_gold_and_predictions_in_step(tmp_path, monkeypatch, capsys):
+    from udmorph import conllu, itdata
+
+    drawn = []
+
+    def logged(side, iterate):
+        def wrapper(*args, **kwargs):
+            for item in iterate(*args, **kwargs):
+                drawn.append(side)
+                yield item
+
+        return wrapper
+
+    monkeypatch.setattr(conllu, "iter_sentences", logged("gold", conllu.iter_sentences))
+    monkeypatch.setattr(
+        itdata, "iter_prediction_blocks", logged("predicted", itdata.iter_prediction_blocks)
+    )
+    gold = _write(tmp_path / "gold.conllu", FIG1_CONLLU * 3)
+    pred = _write(tmp_path / "pred.txt", "\n".join([PREDICTIONS] * 3))
+    assert main(["eval", gold, pred]) == 0
+    assert "uas\t100.00" in capsys.readouterr().out
+    assert drawn == ["gold", "predicted"] * 3
+
+
 def test_stats_one_record_per_category(tmp_path, capsys):
     log_lines = ["# total_tokens\t100"]
     upos = [("ADV", "NOUN"), ("NOUN", "PROPN"), ("VERB", "ADJ"), ("ADV", "PROPN"), ("ADV", "ADJ")]
@@ -485,12 +528,14 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("udmorph."))))
         (["convert-it", "in.conllu", "-o", "out"], "cli conllu itdata"),
         (["eval", "in.conllu", "pred.txt", "-o", "out"], "cli conllu evaluate itdata"),
         (["enrich", "in.conllu", "-o", "out"], "cli conllu data romanize rules"),
+        (["stats", "log.tsv", "-o", "out"], "cli conllu corrections"),
     ],
-    ids=["import", "validate", "convert-it", "eval", "enrich"],
+    ids=["import", "validate", "convert-it", "eval", "enrich", "stats"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     _write(tmp_path / "in.conllu", FIG1_CONLLU)
     _write(tmp_path / "pred.txt", PREDICTIONS)
+    _write(tmp_path / "log.tsv", _LOG)
     result = subprocess.run(
         [sys.executable, "-c", _LOADED_MODULES, *argv],
         capture_output=True,

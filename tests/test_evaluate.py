@@ -89,6 +89,13 @@ def test_exclude_punct_flag():
 def test_sentence_count_mismatch():
     with pytest.raises(EvalError, match="sentence count mismatch"):
         score([_fig1()], [])
+    # Streamed sides are both read to the end, so the message names full counts.
+    for gold_count, predicted_count in [(3, 1), (1, 3), (0, 2), (2, 0)]:
+        gold = (_fig1() for _ in range(gold_count))
+        predicted = (_gold_rows(_fig1()) for _ in range(predicted_count))
+        message = f"^sentence count mismatch: {gold_count} gold vs {predicted_count} predicted$"
+        with pytest.raises(EvalError, match=message):
+            score(gold, predicted)
 
 
 def test_fixing_one_head_never_decreases_metrics():

@@ -1,8 +1,10 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG1_CONLLU, PREDICTION_TEXT, make_sentence
 from udmorph.conllu import Sentence, parse_conllu
@@ -12,7 +14,7 @@ from udmorph.itdata import (
     ParsedRow,
     emit_jsonl,
     from_it_output,
-    read_prediction_blocks,
+    iter_prediction_blocks,
     to_it_record,
 )
 
@@ -112,10 +114,39 @@ def test_emit_jsonl_round_trip():
 
 def test_prediction_blocks_split_on_blank_lines():
     text = EXPECTED_OUTPUT + "\n" + "1\tx\tx\tX\tNA\t_\t0\troot\n"
-    blocks = read_prediction_blocks(text)
+    blocks = list(iter_prediction_blocks(text))
     assert len(blocks) == 2
     assert len(blocks[0]) == 6
     assert blocks[1] == [ParsedRow(1, 0, "root")]
+
+
+# Digits and tabs make rows.  The other whitespace is what `\s`, `str.isspace`
+# and `str.splitlines` treat differently from `\n`, or what breaks lines only
+# in a stream read with universal newlines (`\r`).
+_WHITESPACE = "\t \r\x0b\x0c\x1c\x85\u3000"
+_PREDICTION_CHARS = "0123456789\n" + _WHITESPACE
+_BLANK_LINES = st.lists(st.text(_WHITESPACE, max_size=3).map(lambda s: s + "\n"), max_size=3)
+# Leading and trailing blank lines, and a last line with no newline.
+PREDICTION_FILE = st.tuples(
+    _BLANK_LINES.map("".join),
+    st.text(_PREDICTION_CHARS, max_size=80),
+    _BLANK_LINES.map("".join),
+    st.text(_PREDICTION_CHARS.replace("\n", ""), max_size=6),
+).map("".join)
+
+
+def _split_on_blank_lines(text):
+    """The reference: every block of the whole text at once, split by a regex."""
+    return [from_it_output(block) for block in re.split(r"\n\s*\n", text) if block.strip()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=PREDICTION_FILE)
+def test_prediction_blocks_stream_as_the_blank_line_split_reads_them(text):
+    assert list(iter_prediction_blocks(text)) == _split_on_blank_lines(text)
+    translated = io.StringIO(text, newline=None).read()
+    stream = io.StringIO(text, newline=None)
+    assert list(iter_prediction_blocks(stream)) == _split_on_blank_lines(translated)
 
 
 def test_leading_zeros_are_ignored_however_many():
@@ -127,6 +158,6 @@ def test_leading_zeros_are_ignored_however_many():
 @given(text=PREDICTION_TEXT)
 def test_prediction_readers_never_raise_and_keep_positive_ids(text):
     rows = from_it_output(text)
-    blocks = read_prediction_blocks(text)
+    blocks = list(iter_prediction_blocks(text))
     assert all(row.id >= 1 for row in rows)
     assert all(row.id >= 1 for block in blocks for row in block)

@@ -1,10 +1,12 @@
 """CoNLL-U parsing, serialization and validation.
 
 The data model keeps the morpheme-segmented LEMMA and XPOS columns as raw
-`+`-joined strings (the serialization authority).  A token's aligned
-(surface, tag) morpheme pairs come from `_morphemes`, which splits each
-(LEMMA, XPOS) shape once and shares the result among every token of that
-shape.  Every memo in the package is an LRU cache bounded by `MEMO_SIZE`.
+`+`-joined strings (the serialization authority).  Parsing checks each raw
+(LEMMA, XPOS) cell pair once, in `_word_shape`, and builds no morphemes.  A
+token's aligned (surface, tag) morpheme pairs come from `_morphemes`, which
+splits each (LEMMA, XPOS) shape once and shares the result among every
+token of that shape.  Every memo in the package is an LRU cache bounded by
+`MEMO_SIZE`.
 Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
 and excluded from the token list and from all structural checks.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import io
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -22,9 +24,9 @@ logger = logging.getLogger("udmorph")
 
 COLUMN_COUNT = 10
 
-# Entries each memo keeps (parsed FEATS cells, split word shapes, a rule
-# pack's verdicts and bags), least recently used dropped first: a fixed
-# bound, so a stream of ever new values cannot grow memory.
+# Entries each memo keeps (parsed FEATS cells, checked raw word shapes, split
+# word shapes, a rule pack's verdicts and bags), least recently used dropped
+# first: a fixed bound, so a stream of ever new values cannot grow memory.
 MEMO_SIZE = 4096
 
 # Sejong morpheme tag inventory (closed set).
@@ -39,6 +41,15 @@ SEJONG_TAGS = frozenset(
 
 UPOS_TAGS = frozenset(
     "NOUN PROPN VERB ADJ ADV PRON DET NUM AUX CCONJ SCONJ ADP PART INTJ PUNCT SYM X".split()
+)
+
+# UD's 37 universal dependency relations; a DEPREL may add a `:subtype`.
+UD_RELATIONS = frozenset(
+    """
+    acl advcl advmod amod appos aux case cc ccomp clf compound conj cop csubj
+    dep det discourse dislocated expl fixed flat goeswith iobj list mark nmod
+    nsubj nummod obj obl orphan parataxis punct reparandum root vocative xcomp
+    """.split()
 )
 
 # UPOS derived from the word's lexical base morpheme.  Derivational suffixes
@@ -245,14 +256,32 @@ class Token:
         except ValueError as error:
             raise ValueError(f"{error} in token {self.id} ({self.form!r})") from None
 
+    @classmethod
+    def _from_fields(cls, values: dict) -> Token:
+        """The one fast way to build a token: `values` holds every field in
+        declaration order (so a copy pickles like a `Token(...)`), set
+        without the frozen `__init__`'s `object.__setattr__` per field."""
+        token = object.__new__(cls)
+        token.__dict__.update(values)
+        return token
+
+    def replace(self, **changes) -> Token:
+        """This token with `changes`, as `dataclasses.replace` would build it
+        at a fraction of the cost; an unknown field raises `TypeError`."""
+        if not _TOKEN_FIELDS.issuperset(changes):
+            unknown = min(changes.keys() - _TOKEN_FIELDS)
+            raise TypeError(f"Token.replace() got an unexpected keyword argument {unknown!r}")
+        return self._from_fields({**self.__dict__, **changes})
+
     def with_feats(self, feats: FeatureBag) -> Token:
-        """This token with `feats`, copied without `dataclasses.replace`'s
-        per-field work; the token itself when the bag is equal to its own."""
+        """This token with `feats`; the token itself when the bag is equal
+        to its own."""
         if feats == self.feats:
             return self
-        token = object.__new__(type(self))
-        token.__dict__.update(self.__dict__, feats=feats)
-        return token
+        return self._from_fields({**self.__dict__, "feats": feats})
+
+
+_TOKEN_FIELDS = frozenset(f.name for f in fields(Token))
 
 
 @dataclass(frozen=True)
@@ -306,6 +335,30 @@ def canonical_upos(morphemes: Iterable[Morpheme]) -> str | None:
     return base
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _word_shape(lemma: str, xpos: str, lenient: bool) -> tuple[str, str, tuple[str, ...]]:
+    """The stored LEMMA and XPOS of a raw (LEMMA, XPOS) cell pair, with each
+    unknown tag mapped to `NA` under `lenient`, and the unknown codes in
+    order.  Checks the tags and the alignment once per shape and builds no
+    morphemes; a bad shape raises `ConlluError` without a line number and
+    is not remembered."""
+    lemma = "" if lemma == "_" else lemma
+    xpos = "" if xpos == "_" else xpos
+    tags = []
+    unknown = []
+    for code in _split_plus(xpos):
+        if code not in SEJONG_TAGS:
+            if not lenient:
+                raise ConlluError(f"unknown XPOS tag {code!r}")
+            unknown.append(code)
+            code = "NA"
+        tags.append(code)
+    problem = _misalignment(_split_plus(lemma), tags, lenient)
+    if problem:
+        raise ConlluError(problem)
+    return lemma, "+".join(tags), tuple(unknown)
+
+
 def _parse_token(
     columns: list[str], lineno: int, expected_id: int, lenient: bool, unknown_tags: dict
 ) -> Token:
@@ -319,21 +372,12 @@ def _parse_token(
             f"non-contiguous token ids: expected {expected_id}, got {token_id}", lineno
         )
 
-    lemma = "" if lemma == "_" else lemma
-    xpos = "" if xpos == "_" else xpos
-    tags = []
-    for code in _split_plus(xpos):
-        if code not in SEJONG_TAGS:
-            if not lenient:
-                raise ConlluError(f"unknown XPOS tag {code!r}", lineno)
-            unknown_tags.setdefault(code, [lineno, 0])[1] += 1
-            code = "NA"
-        tags.append(code)
-    xpos = "+".join(tags)
-
-    problem = _misalignment(_split_plus(lemma), tags, lenient)
-    if problem:
-        raise ConlluError(problem, lineno)
+    try:
+        lemma, xpos, unknown = _word_shape(lemma, xpos, lenient)
+    except ConlluError as error:
+        raise ConlluError(str(error), lineno) from None
+    for code in unknown:
+        unknown_tags.setdefault(code, [lineno, 0])[1] += 1
 
     if head == "_":
         head_value: int | None = None
@@ -345,26 +389,28 @@ def _parse_token(
     else:
         raise ConlluError(f"invalid HEAD value {head!r}", lineno)
 
-    return Token(
-        id=token_id,
-        form=form,
-        lemma=lemma,
-        xpos=xpos,
-        upos="" if upos == "_" else upos,
-        feats=FeatureBag.from_conllu(feats, lineno),
-        head=head_value,
-        deprel="" if deprel == "_" else deprel,
-        deps=deps,
-        misc=misc,
+    return Token._from_fields(
+        {
+            "id": token_id,
+            "form": form,
+            "lemma": lemma,
+            "xpos": xpos,
+            "upos": "" if upos == "_" else upos,
+            "feats": FeatureBag.from_conllu(feats, lineno),
+            "head": head_value,
+            "deprel": "" if deprel == "_" else deprel,
+            "deps": deps,
+            "misc": misc,
+        }
     )
 
 
 def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[Sentence]:
     """Stream sentences from decoded CoNLL-U text: open a file with
     `encoding="utf-8-sig"`, as the CLI does, to drop a leading BOM.  Memory
-    holds one sentence plus the parsed FEATS memo, which keeps at most
-    `MEMO_SIZE` cells.  Under `lenient`, each unknown XPOS tag is logged
-    once, at the end."""
+    holds one sentence plus the parsed FEATS memo and the checked word-shape
+    memo, which keep at most `MEMO_SIZE` entries each.  Under `lenient`,
+    each unknown XPOS tag is logged once, at the end."""
     stream = io.StringIO(source) if isinstance(source, str) else source
     comments: list[str] = []
     tokens: list[Token] = []
@@ -398,10 +444,10 @@ def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[S
                 f"expected {COLUMN_COUNT} tab-separated columns, got {len(columns)}", lineno
             )
         raw_id = columns[0]
-        if _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
-            extras.append((len(tokens), line))
-        elif _WORD_ID_RE.match(raw_id):
+        if _WORD_ID_RE.match(raw_id):
             tokens.append(_parse_token(columns, lineno, len(tokens) + 1, lenient, unknown_tags))
+        elif _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
+            extras.append((len(tokens), line))
         else:
             raise ConlluError(f"invalid token id {raw_id!r}", lineno)
 
@@ -472,6 +518,8 @@ def _check_token(sid: str, token: Token, report) -> None:
             report(token.id, "morpheme-surface", f"invalid morpheme surface {surface!r}")
     if token.upos not in UPOS_TAGS:
         report(token.id, "upos-value", f"invalid UPOS {token.upos!r}")
+    if token.deprel and token.deprel.partition(":")[0] not in UD_RELATIONS:
+        report(token.id, "deprel-value", f"invalid DEPREL {token.deprel!r}")
     for key, values in token.feats.items():
         if not _FEAT_KEY_RE.match(key):
             report(token.id, "feats-syntax", f"invalid feature key {key!r}")

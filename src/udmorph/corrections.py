@@ -10,7 +10,7 @@ reproduces the corrected sentence exactly.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .conllu import (
@@ -90,7 +90,7 @@ def _first_content_index(token: Token) -> int | None:
 def _set_tag(token: Token, index: int, tag: str) -> Token:
     tags = [m.tag for m in token.morphemes]
     tags[index] = tag
-    return replace(token, xpos="+".join(tags))
+    return token.replace(xpos="+".join(tags))
 
 
 def _reads_as_one_morpheme(form: str) -> bool:
@@ -121,14 +121,14 @@ def correct_token(
                 new_xpos = "+".join(aux.ext_xpos)
                 if new_xpos != token.xpos:
                     record("XPOS", token.xpos, new_xpos, "ext-xpos")
-                    token = replace(token, xpos=new_xpos)
+                    token = token.replace(xpos=new_xpos)
             elif len(aux.ext_xpos) == 1 and _reads_as_one_morpheme(token.form):
                 # collapse a spurious segmentation: the word is one unit
                 if token.lemma != token.form:
                     record("LEMMA", token.lemma, token.form, "ext-xpos")
                 if token.xpos != aux.ext_xpos[0]:
                     record("XPOS", token.xpos, aux.ext_xpos[0], "ext-xpos")
-                token = replace(token, lemma=token.form, xpos=aux.ext_xpos[0])
+                token = token.replace(lemma=token.form, xpos=aux.ext_xpos[0])
         head_index = _first_content_index(token)
         if head_index is not None:
             head_tag = token.morphemes[head_index].tag
@@ -138,7 +138,7 @@ def correct_token(
                 record("XPOS", old_xpos, token.xpos, "ner-propn")
                 if token.upos != "PROPN":
                     record("UPOS", token.upos, "PROPN", "ner-propn")
-                    token = replace(token, upos="PROPN")
+                    token = token.replace(upos="PROPN")
             elif head_tag == "NNP" and not aux.ner_label:
                 old_xpos = token.xpos
                 token = _set_tag(token, head_index, "NNG")
@@ -146,13 +146,13 @@ def correct_token(
                 upos = canonical_upos(token.morphemes)
                 if upos is not None and upos != token.upos:
                     record("UPOS", token.upos, upos, "ner-common")
-                    token = replace(token, upos=upos)
+                    token = token.replace(upos=upos)
 
     # 2. canonical UPOS from the lexical base morpheme
     upos = canonical_upos(token.morphemes)
     if upos is not None and upos != token.upos:
         record("UPOS", token.upos, upos, "canonical-upos")
-        token = replace(token, upos=upos)
+        token = token.replace(upos=upos)
 
     # 3. XR is a noun fragment: normalize word-initial XR to NNG
     tags = [m.tag for m in token.morphemes]
@@ -212,7 +212,7 @@ def correct_sentence(
         correct_token(token, sentence, aux_by_token.get(token.id), pack, records, sid)
         for token in sentence.tokens
     )
-    return replace(sentence, tokens=tokens), records
+    return Sentence(sentence.comments, tokens, sentence.extras), records
 
 
 _RECORD_ATTRIBUTES = {"UPOS": "upos", "XPOS": "xpos", "LEMMA": "lemma"}
@@ -240,8 +240,8 @@ def apply_records(sentence: Sentence, records: Iterable[CorrectionRecord]) -> Se
             raise CorrectionError(
                 f"{where} expects {rec.field} {rec.original!r}, the token has {current!r}"
             )
-        tokens[rec.token_id - 1] = replace(token, **{attribute: rec.corrected})
-    return replace(sentence, tokens=tuple(tokens))
+        tokens[rec.token_id - 1] = token.replace(**{attribute: rec.corrected})
+    return Sentence(sentence.comments, tuple(tokens), sentence.extras)
 
 
 def aggregate_stats(records: Sequence[CorrectionRecord], total_tokens: int) -> ConversionStats:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple, Sequence, TextIO
@@ -442,7 +442,7 @@ def assign_features(sentence: Sentence, pack: RulePack) -> Sentence:
         token.with_feats(assign_token_features(verdicts, i, pack))
         for i, token in enumerate(sentence.tokens)
     )
-    return replace(sentence, tokens=tokens)
+    return Sentence(sentence.comments, tokens, sentence.extras)
 
 
 def _ending_transcription(morphemes: tuple[Morpheme, ...]) -> tuple[str, str] | None:
@@ -483,5 +483,5 @@ def enrich_sentence(sentence: Sentence, pack: RulePack) -> Sentence:
         if token.form in verdict.functional:
             misc = _misc_with_flag(token.misc, "Functional", "Yes")
             if misc != token.misc:
-                tokens[i] = replace(token, misc=misc)
-    return replace(enriched, tokens=tuple(tokens))
+                tokens[i] = token.replace(misc=misc)
+    return Sentence(enriched.comments, tuple(tokens), enriched.extras)

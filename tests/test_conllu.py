@@ -1,7 +1,8 @@
 import copy
 import pickle
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,43 @@ def test_token_copies_and_pickles(read_first):
         assert twin.morphemes == token.morphemes == (("분위기", "NNG"), ("나", "JC"))
 
 
+def _field_values(token):
+    return {f.name: getattr(token, f.name) for f in fields(Token)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=SEJONG_TREEBANK)
+def test_a_parsed_token_behaves_like_one_its_constructor_builds(text):
+    for sentence in parse_conllu(text):
+        for token in sentence.tokens:
+            built = Token(**_field_values(token))
+            assert type(token) is Token
+            assert token == built and built == token
+            assert hash(token) == hash(built)
+            assert repr(token) == repr(built)
+            assert pickle.dumps(token) == pickle.dumps(built)
+            assert pickle.loads(pickle.dumps(token)) == built
+            for changes in ({}, {"upos": "X"}, {"lemma": "가", "xpos": "NNG", "head": None}):
+                twin = replace(built, **changes)
+                for copied in (replace(token, **changes), token.replace(**changes)):
+                    assert copied == twin
+                    assert list(vars(copied).items()) == list(vars(twin).items())
+                    assert pickle.dumps(copied) == pickle.dumps(twin)
+
+
+def test_token_replace_copies_and_rejects_an_unknown_field():
+    token = parse_conllu(FIG1_CONLLU)[0].tokens[1]
+    copied = token.replace(xpos="NNG+JX")
+    assert copied is not token and copied.morphemes == (("분위기", "NNG"), ("나", "JX"))
+    assert token.xpos == "NNG+JC"
+    with pytest.raises(TypeError, match="'pos'"):
+        token.replace(pos="X")
+    with pytest.raises(TypeError, match="'pos'"):
+        token.replace(upos="X", pos="X")
+    with pytest.raises(TypeError):
+        replace(token, pos="X")
+
+
 def test_unknown_tag_strict_vs_lenient():
     text = "1\t학교\t학교\tNOUN\tZZZ\t_\t0\troot\t_\t_\n\n"
     with pytest.raises(ConlluError, match="unknown XPOS tag 'ZZZ'"):
@@ -119,6 +157,84 @@ def test_lenient_unknown_tag_is_logged_once_with_its_count(caplog):
     assert [t.xpos for t in sentences[0].tokens] == ["NA", "NA+JC", "NA+EF"]
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert warnings == ["unknown XPOS tag 'ZZZ' mapped to NA 3 time(s), first on line 1"]
+
+
+def test_one_unknown_tag_shape_on_three_lines_is_counted_per_token(caplog):
+    text = "# sent_id = a\n" + "".join(
+        f"{i}\t학교\t학교\tNOUN\tZZZ\t_\t{0 if i == 1 else 1}\t{'root' if i == 1 else 'dep'}\t_\t_\n"
+        for i in (1, 2, 3)
+    ) + "\n"
+    for _ in range(2):  # the second parse finds the shape in the memo
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="udmorph"):
+            sentences = parse_conllu(text, lenient=True)
+        assert [t.xpos for t in sentences[0].tokens] == ["NA"] * 3
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["unknown XPOS tag 'ZZZ' mapped to NA 3 time(s), first on line 2"]
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("분위기나\t분위기+나\tNOUN\tNNG", "morpheme/tag misalignment: 2 lemma segment(s) vs 1 XPOS tag(s)"),
+        ("학교\t학교\tNOUN\tZZZ", "unknown XPOS tag 'ZZZ'"),
+    ],
+    ids=["misaligned", "unknown-tag"],
+)
+def test_a_bad_word_shape_names_its_own_line_on_every_parse(cells, message):
+    bad = f"1\t{cells}\t_\t0\troot\t_\t_\n"
+    good = "1\t학교\t학교\tNOUN\tNNG\t_\t0\troot\t_\t_\n"
+    for prefix, line in (("", 1), ("# sent_id = a\n", 2), (good + "\n", 3), ("", 1)):
+        with pytest.raises(ConlluError, match=rf"^line {line}: {re.escape(message)}$"):
+            parse_conllu(prefix + bad + "\n")
+
+
+@pytest.mark.parametrize(
+    "cells", ["학교\t학교\tNOUN\tZZZ", "학교\t_\tNOUN\tNNG", "학교\t학교\tNOUN\t_"],
+    ids=["unknown-tag", "empty-lemma", "empty-xpos"],
+)
+def test_a_shape_first_parsed_leniently_still_fails_in_strict_mode(cells):
+    text = f"1\t{cells}\t_\t0\troot\t_\t_\n\n"
+    parse_conllu(text, lenient=True)
+    with pytest.raises(ConlluError, match="^line 1: "):
+        parse_conllu(text)
+    parse_conllu(text, lenient=True)
+
+
+def _outcome(text, lenient):
+    """Each token's field values, or the error parsing raised."""
+    try:
+        return [[_field_values(t) for t in s.tokens] for s in parse_conllu(text, lenient=lenient)]
+    except ConlluError as error:
+        return str(error)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=SEJONG_TREEBANK, lenient=st.booleans(), unknown=st.sampled_from(["", "NNG", "EF"]))
+def test_parse_is_the_same_with_the_shape_memo_warm_or_cleared(text, lenient, unknown):
+    if unknown:  # an unknown tag: strict parsing fails, lenient maps it to NA
+        text = text.replace(unknown, "ZZZ")
+    conllu._word_shape.cache_clear()
+    cold = _outcome(text, lenient)
+    _outcome(text, not lenient)  # warm the memo in the other mode too
+    assert _outcome(text, lenient) == cold
+
+
+def test_parse_checks_each_word_shape_once(monkeypatch):
+    shapes = [("학교", "NNG"), ("분위기+나", "NNG+JC"), ("좋+다", "VA+EF"), ("_", "_")]
+    lines = []
+    for i in range(60):
+        lemma, xpos = shapes[i % len(shapes)]
+        lines.append(f"{i % 5 + 1}\tx\t{lemma}\tX\t{xpos}\t_\t_\t_\t_\t_\n")
+        if i % 5 == 4:
+            lines.append("\n")
+    calls = []
+    split_plus = conllu._split_plus
+    monkeypatch.setattr(conllu, "_split_plus", lambda raw: calls.append(raw) or split_plus(raw))
+    conllu._word_shape.cache_clear()
+    sentences = parse_conllu("".join(lines), lenient=True)
+    assert sum(len(s.tokens) for s in sentences) == 60
+    assert len(calls) <= 2 * len(shapes)
 
 
 def test_non_contiguous_ids_rejected():
@@ -331,6 +447,16 @@ def test_head_cycle_check_matches_the_per_token_walk(vector):
 def test_validate_head_range():
     sentence = make_sentence([("학교", "학교", "NNG", "NOUN")], heads=[9], deprels=["dep"])
     assert any(d.rule == "head-range" for d in validate([sentence]))
+
+
+def test_validate_checks_the_universal_part_of_each_deprel():
+    words = [("학교", "학교", "NNG", "NOUN"), ("좋다", "좋+다", "VA+EF", "ADJ")]
+    for deprel in ("nsubj", "nmod:poss", "acl:relcl"):
+        assert validate([make_sentence(words, sent_id="s1", heads=[2, 0], deprels=[deprel, "root"])]) == []
+    for deprel in ("subj", "poss:nmod", "Nsubj", "nsubj_pass"):
+        diagnostics = validate([make_sentence(words, sent_id="s1", heads=[2, 0], deprels=[deprel, "root"])])
+        assert [str(d) for d in diagnostics] == [f"[deprel-value] s1:1: invalid DEPREL {deprel!r}"]
+    assert len(conllu.UD_RELATIONS) == 37
 
 
 def test_canonical_upos_folds_derivational_suffixes():

@@ -336,6 +336,7 @@ def test_enrich_then_correct_output_reparses_and_stays_valid(pack, text, data):
     )
     reparsed = parse_conllu(written)
     for before, after in zip(sentences, reparsed, strict=True):
+        assert (after.comments, after.extras) == (before.comments, before.extras)
         if not validate([before]):
             assert validate([after]) == []
 
@@ -351,3 +352,4 @@ def test_log_written_and_read_back_replays_to_the_corrected_sentence(pack, text,
         replayed, total = read_records(sink.getvalue())
         assert total == len(sentence.tokens)
         assert apply_records(sentence, replayed) == corrected
+        assert (corrected.comments, corrected.extras) == (sentence.comments, sentence.extras)

@@ -1,7 +1,8 @@
 """Command-line pipeline: validate, enrich, correct, stats, convert-it, eval.
 
-Data flows on stdout, diagnostics on stderr, so stages compose in shell
-pipelines (`udmorph enrich x.conllu | udmorph correct - | ...`).  Every input
+Data flows on stdout, diagnostics and `WARNING: <message>` lines
+(`conllu.warn`) on stderr, so stages compose in shell pipelines
+(`udmorph enrich x.conllu | udmorph correct - | ...`).  Every input
 argument reads stdin for `-`, at most one per command.  Sentences stream one
 at a time in every command, `eval`'s gold and predictions in step; outputs are
 byte-deterministic for identical inputs.  Exit codes:
@@ -9,12 +10,14 @@ byte-deterministic for identical inputs.  Exit codes:
 
 Each `_cmd_*` imports only the stages it runs and calls them through their
 module (`rules.enrich_sentence`), so a swapped module attribute sees every call.
+Start-up is paid on every command of a pipe, so no stage imports `logging`,
+`dataclasses`, `importlib.resources` or `decimal`, and only `convert-it`
+loads `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from contextlib import AbstractContextManager, nullcontext
@@ -28,8 +31,6 @@ _ENCODING = {"r": "utf-8-sig", "w": "utf-8"}
 
 # Input arguments that name one file each; `inputs` names any number.
 _SINGLE_INPUTS = ("input", "gold", "predictions", "rules", "aux")
-
-logger = logging.getLogger("udmorph")
 
 
 def _open(path: str, mode: str = "r") -> TextIO:
@@ -191,11 +192,8 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             conllu.write_conllu([corrected], sink)
     unmatched = [entry for entry in aux_entries if entry.sent_id not in matched]
     if unmatched:
-        logger.warning(
-            "%d aux entries match no sentence (first sent_id %r)",
-            len(unmatched),
-            unmatched[0].sent_id,
-        )
+        first = unmatched[0].sent_id
+        conllu.warn(f"{len(unmatched)} aux entries match no sentence (first sent_id {first!r})")
     if args.records is not None:
         with _open(args.records, "w") as sink:
             corrections.write_records(all_records, total_tokens, sink)
@@ -252,7 +250,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
         _require_inputs(args)

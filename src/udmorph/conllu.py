@@ -14,13 +14,10 @@ and excluded from the token list and from all structural checks.
 from __future__ import annotations
 
 import io
-import logging
 import re
-from dataclasses import dataclass, field, fields
+import sys
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
-
-logger = logging.getLogger("udmorph")
 
 COLUMN_COUNT = 10
 
@@ -105,6 +102,11 @@ class UdmorphError(ValueError):
 
 class ConlluError(UdmorphError):
     """Malformed CoNLL-U input."""
+
+
+def warn(message: str) -> None:
+    """Write `WARNING: <message>` as one line to the current stderr."""
+    print(f"WARNING: {message}", file=sys.stderr)
 
 
 class FeatureBag:
@@ -231,20 +233,38 @@ def _morphemes(lemma: str, xpos: str) -> tuple[Morpheme, ...]:
     return tuple(map(Morpheme, segments, tags))
 
 
-@dataclass(frozen=True)
 class Token:
-    """One syntactic word.  `lemma` and `xpos` hold raw `+`-joined columns."""
+    """One syntactic word.  `lemma` and `xpos` hold raw `+`-joined columns.
 
-    id: int
-    form: str
-    lemma: str
-    xpos: str
-    upos: str
-    feats: FeatureBag = field(default_factory=FeatureBag)
-    head: int | None = None
-    deprel: str = ""
-    deps: str = "_"
-    misc: str = "_"
+    Immutable.  Its `__dict__` holds exactly its fields, in the order of
+    `__init__`, by which it compares, hashes and prints."""
+
+    def __init__(
+        self, id: int, form: str, lemma: str, xpos: str, upos: str,
+        feats: FeatureBag = FeatureBag(),  # immutable, so one empty bag serves all
+        head: int | None = None, deprel: str = "", deps: str = "_", misc: str = "_",
+    ):
+        self.__dict__.update(
+            id=id, form=form, lemma=lemma, xpos=xpos, upos=upos,
+            feats=feats, head=head, deprel=deprel, deps=deps, misc=misc,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        return "Token(" + ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items()) + ")"
 
     @property
     def morphemes(self) -> tuple[Morpheme, ...]:
@@ -258,18 +278,16 @@ class Token:
 
     @classmethod
     def _from_fields(cls, values: dict) -> Token:
-        """The one fast way to build a token: `values` holds every field in
-        declaration order (so a copy pickles like a `Token(...)`), set
-        without the frozen `__init__`'s `object.__setattr__` per field."""
+        """The fast way to build a token: `values` holds every field in
+        declaration order (so a copy pickles like a `Token(...)`)."""
         token = object.__new__(cls)
         token.__dict__.update(values)
         return token
 
     def replace(self, **changes) -> Token:
-        """This token with `changes`, as `dataclasses.replace` would build it
-        at a fraction of the cost; an unknown field raises `TypeError`."""
-        if not _TOKEN_FIELDS.issuperset(changes):
-            unknown = min(changes.keys() - _TOKEN_FIELDS)
+        """This token with `changes`; an unknown field raises `TypeError`."""
+        if not self.__dict__.keys() >= changes.keys():
+            unknown = min(changes.keys() - self.__dict__.keys())
             raise TypeError(f"Token.replace() got an unexpected keyword argument {unknown!r}")
         return self._from_fields({**self.__dict__, **changes})
 
@@ -281,11 +299,7 @@ class Token:
         return self._from_fields({**self.__dict__, "feats": feats})
 
 
-_TOKEN_FIELDS = frozenset(f.name for f in fields(Token))
-
-
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """Comments (verbatim), syntactic words, and passthrough rows.
 
     `extras` holds multiword-token / empty-node lines as (index, raw line)
@@ -312,8 +326,7 @@ class Sentence:
         return self._comment_value("text")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     sent_id: str
     token_id: int | None
     rule: str
@@ -410,7 +423,7 @@ def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[S
     `encoding="utf-8-sig"`, as the CLI does, to drop a leading BOM.  Memory
     holds one sentence plus the parsed FEATS memo and the checked word-shape
     memo, which keep at most `MEMO_SIZE` entries each.  Under `lenient`,
-    each unknown XPOS tag is logged once, at the end."""
+    each unknown XPOS tag is warned about once, at the end."""
     stream = io.StringIO(source) if isinstance(source, str) else source
     comments: list[str] = []
     tokens: list[Token] = []
@@ -454,8 +467,7 @@ def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[S
     if comments or tokens or extras:
         yield flush(lineno + 1)
     for code, (first_line, count) in unknown_tags.items():
-        logger.warning("unknown XPOS tag %r mapped to NA %d time(s), first on line %d",
-                       code, count, first_line)
+        warn(f"unknown XPOS tag {code!r} mapped to NA {count} time(s), first on line {first_line}")
 
 
 def parse_conllu(source: str | TextIO, *, lenient: bool = False) -> list[Sentence]:

@@ -10,8 +10,7 @@ reproduces the corrected sentence exactly.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .conllu import (
     CANONICAL_UPOS,
@@ -38,8 +37,7 @@ def _parse_int(text: str, name: str, lineno: int) -> int:
         raise CorrectionError(f"{name} must be an integer, got {text!r}", line=lineno) from None
 
 
-@dataclass(frozen=True)
-class AuxAnnotation:
+class AuxAnnotation(NamedTuple):
     """External tagger/NER output for one token, read from the sidecar file."""
 
     sent_id: str
@@ -48,8 +46,7 @@ class AuxAnnotation:
     ext_xpos: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class CorrectionRecord:
+class CorrectionRecord(NamedTuple):
     sent_id: str
     token_id: int
     field: str  # UPOS | XPOS | LEMMA
@@ -58,8 +55,7 @@ class CorrectionRecord:
     rule_id: str
 
 
-@dataclass(frozen=True)
-class StatsRow:
+class StatsRow(NamedTuple):
     field: str
     original: str
     corrected: str
@@ -67,8 +63,7 @@ class StatsRow:
     ratio: float
 
 
-@dataclass(frozen=True)
-class ConversionStats:
+class ConversionStats(NamedTuple):
     total_tokens: int
     rows: tuple[StatsRow, ...]
 

@@ -11,10 +11,8 @@ instead of an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .conllu import Sentence, UdmorphError
 from .itdata import ParsedRow
@@ -28,14 +26,14 @@ _END = object()  # pads the shorter side in `score`
 
 
 def _percentage(numerator: int, denominator: int) -> float:
+    """`100 * numerator / denominator` rounded half up to hundredths, on
+    exact integers."""
     if denominator == 0:
         return 0.0
-    value = Decimal(100 * numerator) / Decimal(denominator)
-    return float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return (20000 * numerator + denominator) // (2 * denominator) / 100
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     total_tokens: int
     head_correct: int
     both_correct: int
@@ -51,8 +49,7 @@ class EvalReport:
         return _percentage(self.both_correct, self.total_tokens)
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     uas_delta: float
     las_delta: float
 
@@ -116,9 +113,10 @@ def compare(report_a: EvalReport, report_b: EvalReport) -> DeltaReport:
         raise EvalError(
             f"token count mismatch: {report_a.total_tokens} vs {report_b.total_tokens}"
         )
-    uas_delta = Decimal(str(report_b.uas)) - Decimal(str(report_a.uas))
-    las_delta = Decimal(str(report_b.las)) - Decimal(str(report_a.las))
-    return DeltaReport(float(uas_delta), float(las_delta))
+    # subtracted in whole hundredths, so 0.29 - 0.28 is 0.01, not 0.009999999999999953
+    uas_delta = round(report_b.uas * 100) - round(report_a.uas * 100)
+    las_delta = round(report_b.las * 100) - round(report_a.las * 100)
+    return DeltaReport(uas_delta / 100, las_delta / 100)
 
 
 def format_report(report: EvalReport) -> str:

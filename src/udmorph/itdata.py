@@ -16,10 +16,8 @@ A number too long to convert reads as one past every sentence.
 from __future__ import annotations
 
 import io
-import json
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .conllu import Sentence, Token
 
@@ -32,8 +30,7 @@ _MAX_DIGITS = 100
 _TOO_LARGE = 10**_MAX_DIGITS
 
 
-@dataclass(frozen=True)
-class ITRecord:
+class ITRecord(NamedTuple):
     instruction: str
     input: str
     output: str
@@ -47,8 +44,7 @@ class ITRecord:
         return self.instruction + "\n" + self.input + self.output
 
 
-@dataclass(frozen=True)
-class ParsedRow:
+class ParsedRow(NamedTuple):
     id: int
     head: int | None
     deprel: str | None
@@ -115,6 +111,8 @@ def from_it_output(text: str) -> list[ParsedRow]:
 
 def emit_jsonl(records: Iterable[ITRecord], sink: TextIO) -> int:
     """One JSON object per record; returns the number of lines written."""
+    import json  # here, not at module level: `eval` reads records and writes no JSON
+
     count = 0
     for record in records:
         payload = {

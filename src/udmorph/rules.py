@@ -26,10 +26,9 @@ are kept in per-pack LRU caches of at most `MEMO_SIZE` entries.
 from __future__ import annotations
 
 import io
+import pkgutil
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple, Sequence, TextIO
 
 from .conllu import (
@@ -76,8 +75,7 @@ class RulePackError(UdmorphError):
     """Malformed rule pack."""
 
 
-@dataclass(frozen=True)
-class MorphPattern:
+class MorphPattern(NamedTuple):
     """Matches one morpheme by surface alternation and/or tag alternation."""
 
     surfaces: frozenset[str] | None = None  # None matches any surface
@@ -91,8 +89,7 @@ class MorphPattern:
         return True
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     priority: int
     tags: frozenset[str]
@@ -134,32 +131,48 @@ class Verdict(NamedTuple):
     functional: frozenset[str]  # the functional words of a one-morpheme word's class
 
 
-@dataclass(frozen=True)
 class RulePack:
     """Rules in resolution order, indexed by anchor tag.  `verdict(morphemes)`
     gives a word's `Verdict`, resolved on its first sight and remembered."""
 
-    language: str
-    rules: tuple[Rule, ...]
-    functional_words: dict[str, frozenset[str]]
-    conjunctive_adverbs: frozenset[str]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.rules, key=lambda r: (-r.priority, r.id)))
-        object.__setattr__(self, "rules", ordered)
+    def __init__(
+        self,
+        language: str,
+        rules: tuple[Rule, ...],
+        functional_words: dict[str, frozenset[str]],
+        conjunctive_adverbs: frozenset[str],
+    ):
+        ordered = tuple(sorted(rules, key=lambda r: (-r.priority, r.id)))
         by_tag: dict[str, list[int]] = {}
         for position, rule in enumerate(ordered):
             for tag in rule.tags:
                 by_tag.setdefault(tag, []).append(position)
-        object.__setattr__(self, "_positions_by_tag", by_tag)
-        # per-pack memos, so a pack made by `dataclasses.replace` starts empty
-        object.__setattr__(self, "verdict", lru_cache(MEMO_SIZE)(self._resolve))
-        object.__setattr__(self, "_winners_bag", lru_cache(MEMO_SIZE)(_bag_of))
+        # immutable, so the memos never outlive the rules they were filled from
+        self.__dict__.update(
+            language=language,
+            rules=ordered,
+            functional_words=functional_words,
+            conjunctive_adverbs=conjunctive_adverbs,
+            _positions_by_tag=by_tag,
+            # per-pack memos, so each pack, a copy included, starts empty
+            verdict=lru_cache(MEMO_SIZE)(self._resolve),
+            _winners_bag=lru_cache(MEMO_SIZE)(_bag_of),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.language, self.rules, self.functional_words, self.conjunctive_adverbs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def __reduce__(self):
         # `verdict` wraps a bound method, which does not pickle; a copy starts empty
-        fields = (self.language, self.rules, self.functional_words, self.conjunctive_adverbs)
-        return (RulePack, fields)
+        return (RulePack, self._fields())
 
     def candidates(self, tags: frozenset[str]) -> tuple[Rule, ...]:
         """The rules anchored on any of `tags`, in pack order."""
@@ -402,7 +415,7 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
 
 
 def load_default_pack(language: str = "ko") -> RulePack:
-    text = resources.files("udmorph.data").joinpath(f"{language}.rules").read_text("utf-8")
+    text = pkgutil.get_data("udmorph", f"data/{language}.rules").decode("utf-8")
     return load_rule_pack(text)
 
 

@@ -76,12 +76,7 @@ def make_sentence(words, sent_id=None, heads=None, deprels=None):
 
 
 def blank_feats(sentence):
-    from dataclasses import replace
-
-    return replace(
-        sentence,
-        tokens=tuple(replace(t, feats=FeatureBag()) for t in sentence.tokens),
-    )
+    return sentence._replace(tokens=tuple(t.replace(feats=FeatureBag()) for t in sentence.tokens))
 
 
 # One fixture per feature-family table row: (label, words, index of the word

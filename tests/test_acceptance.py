@@ -7,7 +7,6 @@ bounds, which are generous wall-clock ceilings.
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from conftest import FAMILY_FIXTURES, FIG1_CONLLU, FIG1_FEATS, blank_feats, make_sentence

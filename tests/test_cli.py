@@ -217,14 +217,14 @@ def test_correct_writes_log_and_stats(tmp_path, capsys):
     assert "ADV\tNOUN\t1\t0.5000" in captured
 
 
-def test_correct_warns_about_aux_entries_matching_no_sentence(tmp_path, caplog):
+def test_correct_warns_about_aux_entries_matching_no_sentence(tmp_path, capsys):
     src = _write(tmp_path / "in.conllu", FIG1_CONLLU.replace("fixture-1", "s1"))
     aux = _write(tmp_path / "aux.tsv", "s1\t1\tPER\t_\ns9\t1\tPER\t_\ns8\t2\t_\t_\n")
     log = tmp_path / "records.tsv"
     argv = ["correct", src, "--aux", aux, "-o", str(tmp_path / "out"), "--records", str(log)]
     assert main(argv) == 0
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == ["2 aux entries match no sentence (first sent_id 's9')"]
+    warnings = capsys.readouterr().err
+    assert warnings == "WARNING: 2 aux entries match no sentence (first sent_id 's9')\n"
     assert "s1\t1\t" in log.read_text(encoding="utf-8")
 
 
@@ -509,7 +509,8 @@ def test_stdin_for_more_than_one_input_exits_2_before_any_output(
 
 
 # Runs `udmorph.cli.main` on the arguments, if any, in a fresh interpreter
-# and prints the udmorph modules it loaded.
+# and prints the udmorph modules it loaded, then the loaded ones of the
+# costly stdlib modules that a command's start-up can do without.
 _LOADED_MODULES = """
 import sys
 import udmorph
@@ -517,35 +518,46 @@ if sys.argv[1:]:
     import udmorph.cli
     udmorph.cli.main(sys.argv[1:])
 print(" ".join(sorted(m for m in sys.modules if m.startswith("udmorph."))))
+costly = ("decimal", "dataclasses", "importlib.resources", "inspect", "json", "logging")
+print(" ".join(m for m in costly if m in sys.modules))
 """
 
 
 @pytest.mark.parametrize(
-    "argv,modules",
+    "argv,modules,stdlib",
     [
-        ([], ""),
-        (["validate", "in.conllu"], "cli conllu"),
-        (["convert-it", "in.conllu", "-o", "out"], "cli conllu itdata"),
-        (["eval", "in.conllu", "pred.txt", "-o", "out"], "cli conllu evaluate itdata"),
-        (["enrich", "in.conllu", "-o", "out"], "cli conllu data romanize rules"),
-        (["stats", "log.tsv", "-o", "out"], "cli conllu corrections"),
+        ([], "", ""),
+        (["validate", "in.conllu"], "cli conllu", ""),
+        (["convert-it", "in.conllu", "-o", "out"], "cli conllu itdata", "json"),
+        (["eval", "in.conllu", "pred.txt", "-o", "out"], "cli conllu evaluate itdata", ""),
+        (["enrich", "in.conllu", "-o", "out"], "cli conllu romanize rules", ""),
+        (["stats", "log.tsv", "-o", "out"], "cli conllu corrections", ""),
+        (
+            ["correct", "in.conllu", "--aux", "aux.tsv", "--records", "log.out", "-o", "out"],
+            "cli conllu corrections romanize rules",
+            "",
+        ),
     ],
-    ids=["import", "validate", "convert-it", "eval", "enrich", "stats"],
+    ids=["import", "validate", "convert-it", "eval", "enrich", "stats", "correct"],
 )
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, stdlib):
     _write(tmp_path / "in.conllu", FIG1_CONLLU)
     _write(tmp_path / "pred.txt", PREDICTIONS)
     _write(tmp_path / "log.tsv", _LOG)
+    # one entry that matches and one that does not, which warns
+    _write(tmp_path / "aux.tsv", "fixture-1\t1\tPER\t_\ns9\t1\tPER\t_\n")
+    # -S: no site `.pth` file may load a module before udmorph does
     result = subprocess.run(
-        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        [sys.executable, "-S", "-c", _LOADED_MODULES, *argv],
         capture_output=True,
         text=True,
         cwd=tmp_path,
         env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
-    loaded = result.stdout.split()
-    assert loaded == [f"udmorph.{name}" for name in modules.split()]
+    loaded, loaded_stdlib = result.stdout.split("\n")[:2]
+    assert loaded.split() == [f"udmorph.{name}" for name in modules.split()]
+    assert loaded_stdlib == stdlib
 
 
 def test_the_public_names_resolve_on_first_use():
@@ -612,6 +624,44 @@ def test_shell_pipeline_composes(tmp_path):
     payload = json.loads(stdout)
     assert "Case=Disj" in payload["input"]
     assert payload["output"].endswith("5\tpunct\n")
+
+
+_THREE_ZZZ = "".join(
+    f"{i}\t학교\t학교\tNOUN\tZZZ\t_\t{0 if i == 1 else 1}\t{'root' if i == 1 else 'dep'}\t_\t_\n"
+    for i in (1, 2, 3)
+) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,files,warning",
+    [
+        (
+            ["enrich", "--lenient", "in.conllu"],
+            {"in.conllu": _THREE_ZZZ},
+            "unknown XPOS tag 'ZZZ' mapped to NA 3 time(s), first on line 1",
+        ),
+        (
+            ["correct", "in.conllu", "--aux", "aux.tsv"],
+            {
+                "in.conllu": FIG1_CONLLU.replace("fixture-1", "s1"),
+                "aux.tsv": "s1\t1\tPER\t_\ns9\t1\tPER\t_\ns8\t2\t_\t_\n",
+            },
+            "2 aux entries match no sentence (first sent_id 's9')",
+        ),
+    ],
+    ids=["enrich-lenient", "correct-aux"],
+)
+def test_a_warning_is_one_stderr_line(tmp_path, argv, files, warning):
+    for name, text in files.items():
+        _write(tmp_path / name, text)
+    result = subprocess.run(
+        [sys.executable, "-m", "udmorph", *argv, "-o", "out"],
+        capture_output=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert (result.returncode, result.stdout) == (0, b"")
+    assert result.stderr == f"WARNING: {warning}\n".encode("utf-8")
 
 
 def test_multiple_input_files_concatenate(tmp_path):

@@ -2,7 +2,6 @@ import copy
 import pickle
 import random
 import re
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +70,7 @@ def test_lenient_empty_lemma_has_no_morphemes():
         parse_conllu(text)
     token = parse_conllu(text, lenient=True)[0].tokens[0]
     assert token.morphemes == ()
-    mismatched = replace(token, lemma="분위기+나")
+    mismatched = token.replace(lemma="분위기+나")
     with pytest.raises(ValueError, match="misalignment"):
         mismatched.morphemes
 
@@ -80,15 +79,15 @@ def test_morphemes_follow_replace_after_first_read():
     token = parse_conllu(FIG1_CONLLU)[0].tokens[1]
     assert token.morphemes == (("분위기", "NNG"), ("나", "JC"))
     assert token.morphemes is token.morphemes
-    retagged = replace(token, xpos="NNG+JX")
+    retagged = token.replace(xpos="NNG+JX")
     assert retagged.morphemes == (("분위기", "NNG"), ("나", "JX"))
-    relemmatized = replace(token, lemma="분위+기")
+    relemmatized = token.replace(lemma="분위+기")
     assert relemmatized.morphemes == (("분위", "NNG"), ("기", "JC"))
     assert token.morphemes == (("분위기", "NNG"), ("나", "JC"))
     # every read of a misaligned token fails, naming the token
     for _ in range(2):
         with pytest.raises(ValueError, match=r"misalignment: 3 lemma segment.* in token 2 \('분위기나'\)"):
-            replace(token, lemma="분+위기+나").morphemes
+            token.replace(lemma="분+위기+나").morphemes
 
 
 @pytest.mark.parametrize("read_first", [False, True])
@@ -101,16 +100,12 @@ def test_token_copies_and_pickles(read_first):
         assert twin.morphemes == token.morphemes == (("분위기", "NNG"), ("나", "JC"))
 
 
-def _field_values(token):
-    return {f.name: getattr(token, f.name) for f in fields(Token)}
-
-
 @settings(max_examples=100, deadline=None)
 @given(text=SEJONG_TREEBANK)
 def test_a_parsed_token_behaves_like_one_its_constructor_builds(text):
     for sentence in parse_conllu(text):
         for token in sentence.tokens:
-            built = Token(**_field_values(token))
+            built = Token(**vars(token))
             assert type(token) is Token
             assert token == built and built == token
             assert hash(token) == hash(built)
@@ -118,8 +113,8 @@ def test_a_parsed_token_behaves_like_one_its_constructor_builds(text):
             assert pickle.dumps(token) == pickle.dumps(built)
             assert pickle.loads(pickle.dumps(token)) == built
             for changes in ({}, {"upos": "X"}, {"lemma": "가", "xpos": "NNG", "head": None}):
-                twin = replace(built, **changes)
-                for copied in (replace(token, **changes), token.replace(**changes)):
+                twin = Token(**{**vars(built), **changes})
+                for copied in (built.replace(**changes), token.replace(**changes)):
                     assert copied == twin
                     assert list(vars(copied).items()) == list(vars(twin).items())
                     assert pickle.dumps(copied) == pickle.dumps(twin)
@@ -134,8 +129,6 @@ def test_token_replace_copies_and_rejects_an_unknown_field():
         token.replace(pos="X")
     with pytest.raises(TypeError, match="'pos'"):
         token.replace(upos="X", pos="X")
-    with pytest.raises(TypeError):
-        replace(token, pos="X")
 
 
 def test_unknown_tag_strict_vs_lenient():
@@ -146,31 +139,28 @@ def test_unknown_tag_strict_vs_lenient():
     assert sentences[0].tokens[0].xpos == "NA"
 
 
-def test_lenient_unknown_tag_is_logged_once_with_its_count(caplog):
+def test_lenient_unknown_tag_is_logged_once_with_its_count(capsys):
     text = (
         "1\t학교\t학교\tNOUN\tZZZ\t_\t0\troot\t_\t_\n"
         "2\t분위기나\t분위기+나\tNOUN\tZZZ+JC\t_\t1\tflat\t_\t_\n"
         "3\t좋다\t좋+다\tADJ\tZZZ+EF\t_\t1\tdep\t_\t_\n\n"
     )
-    with caplog.at_level("WARNING", logger="udmorph"):
-        sentences = parse_conllu(text, lenient=True)
+    sentences = parse_conllu(text, lenient=True)
     assert [t.xpos for t in sentences[0].tokens] == ["NA", "NA+JC", "NA+EF"]
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == ["unknown XPOS tag 'ZZZ' mapped to NA 3 time(s), first on line 1"]
+    warnings = capsys.readouterr().err
+    assert warnings == "WARNING: unknown XPOS tag 'ZZZ' mapped to NA 3 time(s), first on line 1\n"
 
 
-def test_one_unknown_tag_shape_on_three_lines_is_counted_per_token(caplog):
+def test_one_unknown_tag_shape_on_three_lines_is_counted_per_token(capsys):
     text = "# sent_id = a\n" + "".join(
         f"{i}\t학교\t학교\tNOUN\tZZZ\t_\t{0 if i == 1 else 1}\t{'root' if i == 1 else 'dep'}\t_\t_\n"
         for i in (1, 2, 3)
     ) + "\n"
     for _ in range(2):  # the second parse finds the shape in the memo
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="udmorph"):
-            sentences = parse_conllu(text, lenient=True)
+        sentences = parse_conllu(text, lenient=True)
         assert [t.xpos for t in sentences[0].tokens] == ["NA"] * 3
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings == ["unknown XPOS tag 'ZZZ' mapped to NA 3 time(s), first on line 2"]
+        warnings = capsys.readouterr().err
+        assert warnings == "WARNING: unknown XPOS tag 'ZZZ' mapped to NA 3 time(s), first on line 2\n"
 
 
 @pytest.mark.parametrize(
@@ -204,7 +194,7 @@ def test_a_shape_first_parsed_leniently_still_fails_in_strict_mode(cells):
 def _outcome(text, lenient):
     """Each token's field values, or the error parsing raised."""
     try:
-        return [[_field_values(t) for t in s.tokens] for s in parse_conllu(text, lenient=lenient)]
+        return [[vars(t) for t in s.tokens] for s in parse_conllu(text, lenient=lenient)]
     except ConlluError as error:
         return str(error)
 

@@ -1,13 +1,12 @@
 import random
-from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG1_CONLLU, PREDICTION_TEXT, make_sentence
 from udmorph.conllu import parse_conllu
-from udmorph.evaluate import EvalError, EvalReport, compare, format_report, score
+from udmorph.evaluate import EvalError, EvalReport, _percentage, compare, format_report, score
 from udmorph.itdata import ParsedRow, from_it_output
 
 
@@ -30,7 +29,7 @@ def test_identity_prediction_scores_100():
 def test_single_wrong_head():
     gold = [_fig1()]
     rows = _gold_rows(gold[0])
-    rows[3] = replace(rows[3], head=1)  # gold head is 5
+    rows[3] = rows[3]._replace(head=1)  # gold head is 5
     report = score(gold, [rows])
     assert (report.uas, report.las) == (83.33, 83.33)
 
@@ -38,7 +37,7 @@ def test_single_wrong_head():
 def test_wrong_deprel_only_hits_las():
     gold = [_fig1()]
     rows = _gold_rows(gold[0])
-    rows[1] = replace(rows[1], deprel="conj")  # gold is flat
+    rows[1] = rows[1]._replace(deprel="conj")  # gold is flat
     report = score(gold, [rows])
     assert (report.uas, report.las) == (100.00, 83.33)
 
@@ -63,7 +62,7 @@ def test_surplus_and_repeated_rows_never_score():
 def test_conflicting_duplicate_claims_do_not_align():
     gold = [_fig1()]
     rows = _gold_rows(gold[0])
-    rows.append(replace(rows[0], head=3))  # second, contradictory claim on id 1
+    rows.append(rows[0]._replace(head=3))  # second, contradictory claim on id 1
     report = score(gold, [rows])
     assert (report.uas, report.las) == (83.33, 83.33)
     assert report.unmatched_predicted_rows == 2
@@ -73,7 +72,7 @@ def test_conflicting_duplicate_claims_do_not_align():
 def test_prediction_order_is_irrelevant():
     gold = [_fig1()]
     rows = _gold_rows(gold[0])
-    rows.append(replace(rows[0], head=3))  # conflicting duplicate stays order-safe
+    rows.append(rows[0]._replace(head=3))  # conflicting duplicate stays order-safe
     rows.append(ParsedRow(42, 1, "dep"))
     shuffled = list(rows)
     random.Random(7).shuffle(shuffled)
@@ -102,7 +101,7 @@ def test_fixing_one_head_never_decreases_metrics():
     gold = [_fig1()]
     rows = _gold_rows(gold[0])
     rng = random.Random(3)
-    broken = [replace(r, head=rng.choice([None, 0, 1, 2, 3])) for r in rows]
+    broken = [r._replace(head=rng.choice([None, 0, 1, 2, 3])) for r in rows]
     before = score(gold, [broken])
     for i, gold_row in enumerate(rows):
         repaired = list(broken)
@@ -157,6 +156,38 @@ def test_half_up_rounding():
     assert EvalReport(6, 5, 0).uas == 83.33
     assert EvalReport(16, 1, 0).uas == 6.25
     assert EvalReport(32, 1, 0).uas == 3.13  # 3.125 rounds half-up
+
+
+def _decimal_percentage(numerator, denominator):
+    """The percentage as `Decimal` quantizes it, half up: the reference."""
+    from decimal import ROUND_HALF_UP, Decimal
+
+    if denominator == 0:
+        return 0.0
+    value = Decimal(100 * numerator) / Decimal(denominator)
+    return float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    counts=st.integers(0, 10**7).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, d), st.integers(0, d))
+    )
+)
+@example(counts=(0, 0, 0))
+@example(counts=(800, 1, 0))  # 0.125 -> 0.13
+@example(counts=(10**7, 5, 10**7))  # 0.00005 -> 0.00
+@example(counts=(10000, 2829, 2828))  # 28.29 - 28.28 is not 0.01 in floats
+def test_integer_rounding_matches_decimal_half_up(counts):
+    from decimal import Decimal
+
+    total, a, b = counts
+    assert _percentage(a, total) == _decimal_percentage(a, total)
+    delta = compare(EvalReport(total, a, b), EvalReport(total, b, a))
+    uas_a, uas_b = (Decimal(str(_decimal_percentage(n, total))) for n in (a, b))
+    expected = uas_b - uas_a
+    assert delta.uas_delta == float(expected)
+    assert delta.las_delta == -float(expected)
 
 
 @settings(max_examples=300, deadline=None)

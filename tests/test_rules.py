@@ -1,6 +1,5 @@
 import copy
 import pickle
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +12,22 @@ from udmorph.corrections import correct_sentence
 from udmorph.rules import (
     PACK_HEADER,
     MorphPattern,
+    RulePack,
     RulePackError,
     assign_features,
     enrich_sentence,
+    load_default_pack,
     load_rule_pack,
 )
 
 
 def _token(form, lemma, xpos, upos="X"):
     return Token(id=1, form=form, lemma=lemma, xpos=xpos, upos=upos, head=0, deprel="root")
+
+
+def _with_rules(pack, rules):
+    """A copy of `pack` holding `rules`, with empty memos."""
+    return RulePack(pack.language, tuple(rules), pack.functional_words, pack.conjunctive_adverbs)
 
 
 def _ending(pack, lemma, xpos):
@@ -48,6 +54,11 @@ def test_shipped_pack_loads_with_enough_rules(pack):
 def test_shipped_pack_functional_minimum(pack):
     assert {"더", "또", "다시"} <= pack.functional_words["ADV"]
     assert {"그", "이", "한"} <= pack.functional_words["DET"]
+
+
+def test_a_language_without_a_packaged_pack_is_an_os_error():
+    with pytest.raises(OSError):
+        load_default_pack("xx")
 
 
 def test_empty_pack_is_an_error():
@@ -163,7 +174,7 @@ def test_assignment_replaces_gold_features(pack):
         feats=FeatureBag({"Case": ["Acc"]}), head=0, deprel="root",
     )
     sentence = make_sentence([("학교", "학교", "NNG", "NOUN")])
-    sentence = replace(sentence, tokens=(token,))
+    sentence = sentence._replace(tokens=(token,))
     assert assign_features(sentence, pack).tokens[0].feats == FeatureBag()
 
 
@@ -175,7 +186,7 @@ def test_assignment_is_idempotent(pack):
 
 
 def test_disabling_context_pass_never_removes_internal_output(pack):
-    internal_only = replace(pack, rules=tuple(r for r in pack.rules if not r.context))
+    internal_only = _with_rules(pack, (r for r in pack.rules if not r.context))
     for _, words, _, _, _ in FAMILY_FIXTURES:
         sentence = make_sentence(words)
         partial = assign_features(sentence, internal_only)
@@ -277,7 +288,7 @@ def test_single_pass_matches_two_scan_resolver_in_any_rule_order(pack, data):
     feats = [t.feats for t in assign_features(sentence, pack).tokens]
     assert feats == _reference_feats(sentence, pack)
 
-    shuffled = replace(pack, rules=tuple(data.draw(st.permutations(pack.rules))))
+    shuffled = _with_rules(pack, data.draw(st.permutations(pack.rules)))
     assert shuffled.rules == pack.rules
     assert [t.feats for t in assign_features(sentence, shuffled).tokens] == feats
 
@@ -288,7 +299,7 @@ def test_candidates_are_the_rules_anchored_on_the_tags_in_pack_order(pack, data)
     subset = data.draw(st.lists(st.sampled_from(pack.rules), unique=True))
     anchors = sorted({tag for rule in pack.rules for tag in rule.tags} | {"SF", "NA"})
     tag_sets = st.frozensets(st.sampled_from(anchors), max_size=4)
-    for candidate_pack in (pack, replace(pack, rules=tuple(subset))):
+    for candidate_pack in (pack, _with_rules(pack, subset)):
         # several tag sets per pack, each against a scan of the whole pack
         for tags in data.draw(st.lists(tag_sets, min_size=1, max_size=8)):
             expected = tuple(r for r in candidate_pack.rules if r.tags & tags)
@@ -297,7 +308,7 @@ def test_candidates_are_the_rules_anchored_on_the_tags_in_pack_order(pack, data)
 
 def _fresh(pack):
     """The same pack with empty memos."""
-    return replace(pack, rules=pack.rules)
+    return _with_rules(pack, pack.rules)
 
 
 def _shapes(sentences):
@@ -379,9 +390,15 @@ def test_rule_pack_copies_and_pickles(pack):
         assert [enrich_sentence(sentence, twin) for sentence in sentences] == expected
 
 
+def test_a_pack_cannot_swap_the_rules_its_memo_was_filled_from(pack):
+    with pytest.raises(AttributeError, match="'rules'"):
+        pack.rules = ()
+    assert len(pack.rules) >= 40
+
+
 def test_misaligned_token_fails_naming_itself(pack):
     sentence = make_sentence([("학교", "학교", "NNG", "NOUN")])
-    misaligned = replace(sentence, tokens=(replace(sentence.tokens[0], lemma="학+교"),))
+    misaligned = sentence._replace(tokens=(sentence.tokens[0].replace(lemma="학+교"),))
     for _ in range(2):
         with pytest.raises(ValueError, match=r"misalignment: 2 lemma.* in token 1 \('학교'\)"):
             enrich_sentence(misaligned, pack)
@@ -390,7 +407,7 @@ def test_misaligned_token_fails_naming_itself(pack):
 def test_replaced_pack_starts_with_an_empty_memo(pack):
     sentence = make_sentence([("가고", "가+고", "VV+EC", "VERB"), ("싶다", "싶+다", "VX+EF", "AUX")])
     assert enrich_sentence(sentence, pack).tokens[0].feats.get("Mood") == ("Des",)
-    internal_only = replace(pack, rules=tuple(r for r in pack.rules if not r.context))
+    internal_only = _with_rules(pack, (r for r in pack.rules if not r.context))
     assert enrich_sentence(sentence, internal_only).tokens[0].feats.get("Mood") == ()
 
 
@@ -414,7 +431,7 @@ def test_enrich_with_a_warm_pack_equals_a_fresh_pack_per_sentence(pack, text):
 
 def _without_conv(pack):
     """The pack without its word-internal rule for -고, so 가고 has no pass-1 winner."""
-    return replace(pack, rules=tuple(r for r in pack.rules if r.id != "vform-conv"))
+    return _with_rules(pack, (r for r in pack.rules if r.id != "vform-conv"))
 
 
 def test_transcribe_bare_ending(pack):

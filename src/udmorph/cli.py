@@ -178,25 +178,27 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     for entry in aux_entries:
         aux_by_sentence.setdefault(entry.sent_id, []).append(entry)
 
+    # the log is opened first, so an unwritable one fails before any output
+    log_context = nullcontext() if args.records is None else _open(args.records, "w")
     all_records: list[corrections.CorrectionRecord] = []
     total_tokens = 0
     matched: set[str] = set()
-    with _open_or_stdio(args.output, "w") as sink:
+    with log_context as log, _open_or_stdio(args.output, "w") as sink:
         for sentence in _stream_sentences(args):
             total_tokens += len(sentence.tokens)
             entries = aux_by_sentence.get(sentence.sent_id or "", [])
             if entries:
                 matched.add(sentence.sent_id)
             corrected, records = corrections.correct_sentence(sentence, entries, pack)
-            all_records.extend(records)
+            if log is not None:
+                all_records.extend(records)
             conllu.write_conllu([corrected], sink)
-    unmatched = [entry for entry in aux_entries if entry.sent_id not in matched]
-    if unmatched:
-        first = unmatched[0].sent_id
-        conllu.warn(f"{len(unmatched)} aux entries match no sentence (first sent_id {first!r})")
-    if args.records is not None:
-        with _open(args.records, "w") as sink:
-            corrections.write_records(all_records, total_tokens, sink)
+        unmatched = [entry for entry in aux_entries if entry.sent_id not in matched]
+        if unmatched:
+            first = unmatched[0].sent_id
+            conllu.warn(f"{len(unmatched)} aux entries match no sentence (first sent_id {first!r})")
+        if log is not None:
+            corrections.write_records(all_records, total_tokens, log)
     return 0
 
 

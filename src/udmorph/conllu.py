@@ -233,38 +233,22 @@ def _morphemes(lemma: str, xpos: str) -> tuple[Morpheme, ...]:
     return tuple(map(Morpheme, segments, tags))
 
 
-class Token:
+class Token(NamedTuple):
     """One syntactic word.  `lemma` and `xpos` hold raw `+`-joined columns.
 
-    Immutable.  Its `__dict__` holds exactly its fields, in the order of
-    `__init__`, by which it compares, hashes and prints."""
+    A record like every other: copied with changes by `token._replace(...)`,
+    and equal to the plain tuple of its ten values."""
 
-    def __init__(
-        self, id: int, form: str, lemma: str, xpos: str, upos: str,
-        feats: FeatureBag = FeatureBag(),  # immutable, so one empty bag serves all
-        head: int | None = None, deprel: str = "", deps: str = "_", misc: str = "_",
-    ):
-        self.__dict__.update(
-            id=id, form=form, lemma=lemma, xpos=xpos, upos=upos,
-            feats=feats, head=head, deprel=deprel, deps=deps, misc=misc,
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
-
-    def __repr__(self) -> str:
-        return "Token(" + ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items()) + ")"
+    id: int
+    form: str
+    lemma: str
+    xpos: str
+    upos: str
+    feats: FeatureBag = FeatureBag()  # immutable, so one empty bag serves all
+    head: int | None = None
+    deprel: str = ""
+    deps: str = "_"
+    misc: str = "_"
 
     @property
     def morphemes(self) -> tuple[Morpheme, ...]:
@@ -276,27 +260,12 @@ class Token:
         except ValueError as error:
             raise ValueError(f"{error} in token {self.id} ({self.form!r})") from None
 
-    @classmethod
-    def _from_fields(cls, values: dict) -> Token:
-        """The fast way to build a token: `values` holds every field in
-        declaration order (so a copy pickles like a `Token(...)`)."""
-        token = object.__new__(cls)
-        token.__dict__.update(values)
-        return token
-
-    def replace(self, **changes) -> Token:
-        """This token with `changes`; an unknown field raises `TypeError`."""
-        if not self.__dict__.keys() >= changes.keys():
-            unknown = min(changes.keys() - self.__dict__.keys())
-            raise TypeError(f"Token.replace() got an unexpected keyword argument {unknown!r}")
-        return self._from_fields({**self.__dict__, **changes})
-
     def with_feats(self, feats: FeatureBag) -> Token:
         """This token with `feats`; the token itself when the bag is equal
         to its own."""
         if feats == self.feats:
             return self
-        return self._from_fields({**self.__dict__, "feats": feats})
+        return self._replace(feats=feats)
 
 
 class Sentence(NamedTuple):
@@ -402,19 +371,17 @@ def _parse_token(
     else:
         raise ConlluError(f"invalid HEAD value {head!r}", lineno)
 
-    return Token._from_fields(
-        {
-            "id": token_id,
-            "form": form,
-            "lemma": lemma,
-            "xpos": xpos,
-            "upos": "" if upos == "_" else upos,
-            "feats": FeatureBag.from_conllu(feats, lineno),
-            "head": head_value,
-            "deprel": "" if deprel == "_" else deprel,
-            "deps": deps,
-            "misc": misc,
-        }
+    return Token(
+        token_id,
+        form,
+        lemma,
+        xpos,
+        "" if upos == "_" else upos,
+        FeatureBag.from_conllu(feats, lineno),
+        head_value,
+        "" if deprel == "_" else deprel,
+        deps,
+        misc,
     )
 
 
@@ -474,21 +441,24 @@ def parse_conllu(source: str | TextIO, *, lenient: bool = False) -> list[Sentenc
     return list(iter_sentences(source, lenient=lenient))
 
 
-def token_to_line(token: Token) -> str:
-    return "\t".join(
-        (
-            str(token.id),
-            token.form,
-            token.lemma or "_",
-            token.upos or "_",
-            token.xpos or "_",
-            token.feats.to_conllu(),
-            "_" if token.head is None else str(token.head),
-            token.deprel or "_",
-            token.deps,
-            token.misc,
-        )
+def token_columns(token: Token) -> tuple[str, ...]:
+    """The token's ten CoNLL-U cells, an empty value written `_`."""
+    return (
+        str(token.id),
+        token.form,
+        token.lemma or "_",
+        token.upos or "_",
+        token.xpos or "_",
+        token.feats.to_conllu(),
+        "_" if token.head is None else str(token.head),
+        token.deprel or "_",
+        token.deps,
+        token.misc,
     )
+
+
+def token_to_line(token: Token) -> str:
+    return "\t".join(token_columns(token))
 
 
 def sentence_to_lines(sentence: Sentence) -> Iterator[str]:

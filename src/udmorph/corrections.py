@@ -85,7 +85,7 @@ def _first_content_index(token: Token) -> int | None:
 def _set_tag(token: Token, index: int, tag: str) -> Token:
     tags = [m.tag for m in token.morphemes]
     tags[index] = tag
-    return token.replace(xpos="+".join(tags))
+    return token._replace(xpos="+".join(tags))
 
 
 def _reads_as_one_morpheme(form: str) -> bool:
@@ -116,14 +116,14 @@ def correct_token(
                 new_xpos = "+".join(aux.ext_xpos)
                 if new_xpos != token.xpos:
                     record("XPOS", token.xpos, new_xpos, "ext-xpos")
-                    token = token.replace(xpos=new_xpos)
+                    token = token._replace(xpos=new_xpos)
             elif len(aux.ext_xpos) == 1 and _reads_as_one_morpheme(token.form):
                 # collapse a spurious segmentation: the word is one unit
                 if token.lemma != token.form:
                     record("LEMMA", token.lemma, token.form, "ext-xpos")
                 if token.xpos != aux.ext_xpos[0]:
                     record("XPOS", token.xpos, aux.ext_xpos[0], "ext-xpos")
-                token = token.replace(lemma=token.form, xpos=aux.ext_xpos[0])
+                token = token._replace(lemma=token.form, xpos=aux.ext_xpos[0])
         head_index = _first_content_index(token)
         if head_index is not None:
             head_tag = token.morphemes[head_index].tag
@@ -133,7 +133,7 @@ def correct_token(
                 record("XPOS", old_xpos, token.xpos, "ner-propn")
                 if token.upos != "PROPN":
                     record("UPOS", token.upos, "PROPN", "ner-propn")
-                    token = token.replace(upos="PROPN")
+                    token = token._replace(upos="PROPN")
             elif head_tag == "NNP" and not aux.ner_label:
                 old_xpos = token.xpos
                 token = _set_tag(token, head_index, "NNG")
@@ -141,13 +141,13 @@ def correct_token(
                 upos = canonical_upos(token.morphemes)
                 if upos is not None and upos != token.upos:
                     record("UPOS", token.upos, upos, "ner-common")
-                    token = token.replace(upos=upos)
+                    token = token._replace(upos=upos)
 
     # 2. canonical UPOS from the lexical base morpheme
     upos = canonical_upos(token.morphemes)
     if upos is not None and upos != token.upos:
         record("UPOS", token.upos, upos, "canonical-upos")
-        token = token.replace(upos=upos)
+        token = token._replace(upos=upos)
 
     # 3. XR is a noun fragment: normalize word-initial XR to NNG
     tags = [m.tag for m in token.morphemes]
@@ -235,7 +235,7 @@ def apply_records(sentence: Sentence, records: Iterable[CorrectionRecord]) -> Se
             raise CorrectionError(
                 f"{where} expects {rec.field} {rec.original!r}, the token has {current!r}"
             )
-        tokens[rec.token_id - 1] = token.replace(**{attribute: rec.corrected})
+        tokens[rec.token_id - 1] = token._replace(**{attribute: rec.corrected})
     return Sentence(sentence.comments, tuple(tokens), sentence.extras)
 
 

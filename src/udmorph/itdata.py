@@ -1,7 +1,8 @@
 """Conversion between treebanks and instruction-tuning triples.
 
 A record renders a sentence twice in 8 tab-separated columns (id, form,
-lemma, UPOS, XPOS, FEATS, head, rel): the input block carries the literal
+lemma, UPOS, XPOS, FEATS, head, rel), the first eight cells of
+`conllu.token_columns`: the input block carries the literal
 placeholders `head` and `rel`, the output block the gold values.  The
 rendered training string is `instruction + "\\n" + input + output`, where
 both blocks are newline-terminated rows; `output_offset` is the character
@@ -19,7 +20,7 @@ import io
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .conllu import Sentence, Token
+from .conllu import Sentence, token_columns
 
 DEFAULT_INSTRUCTION = "아래의 문장을 의존구조문법에 맞게 분석해줘"
 
@@ -50,27 +51,15 @@ class ParsedRow(NamedTuple):
     deprel: str | None
 
 
-def _row_columns(token: Token) -> list[str]:
-    return [
-        str(token.id),
-        token.form,
-        token.lemma or "_",
-        token.upos or "_",
-        token.xpos or "_",
-        token.feats.to_conllu(),
-    ]
-
-
 def to_it_record(sentence: Sentence, instruction: str = DEFAULT_INSTRUCTION) -> ITRecord:
     if not sentence.tokens:
         raise ValueError("cannot convert an empty sentence")
     input_rows = []
     output_rows = []
     for token in sentence.tokens:
-        columns = _row_columns(token)
-        input_rows.append("\t".join(columns + ["head", "rel"]))
-        head = "_" if token.head is None else str(token.head)
-        output_rows.append("\t".join(columns + [head, token.deprel or "_"]))
+        columns = token_columns(token)
+        input_rows.append("\t".join(columns[:6] + ("head", "rel")))
+        output_rows.append("\t".join(columns[:8]))
     return ITRecord(
         instruction=instruction,
         input="".join(row + "\n" for row in input_rows),

@@ -496,5 +496,5 @@ def enrich_sentence(sentence: Sentence, pack: RulePack) -> Sentence:
         if token.form in verdict.functional:
             misc = _misc_with_flag(token.misc, "Functional", "Yes")
             if misc != token.misc:
-                tokens[i] = token.replace(misc=misc)
+                tokens[i] = token._replace(misc=misc)
     return Sentence(enriched.comments, tuple(tokens), enriched.extras)

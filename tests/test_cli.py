@@ -217,6 +217,15 @@ def test_correct_writes_log_and_stats(tmp_path, capsys):
     assert "ADV\tNOUN\t1\t0.5000" in captured
 
 
+def test_an_unwritable_correction_log_exits_2_before_any_output(tmp_path, capsys):
+    src = _write(tmp_path / "in.conllu", FIG1_CONLLU)
+    out = tmp_path / "out.conllu"
+    log = tmp_path / "no" / "such" / "dir" / "log.tsv"
+    assert main(["correct", src, "-o", str(out), "--records", str(log)]) == 2
+    assert "log.tsv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_correct_warns_about_aux_entries_matching_no_sentence(tmp_path, capsys):
     src = _write(tmp_path / "in.conllu", FIG1_CONLLU.replace("fixture-1", "s1"))
     aux = _write(tmp_path / "aux.tsv", "s1\t1\tPER\t_\ns9\t1\tPER\t_\ns8\t2\t_\t_\n")

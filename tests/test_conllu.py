@@ -70,7 +70,7 @@ def test_lenient_empty_lemma_has_no_morphemes():
         parse_conllu(text)
     token = parse_conllu(text, lenient=True)[0].tokens[0]
     assert token.morphemes == ()
-    mismatched = token.replace(lemma="분위기+나")
+    mismatched = token._replace(lemma="분위기+나")
     with pytest.raises(ValueError, match="misalignment"):
         mismatched.morphemes
 
@@ -79,15 +79,15 @@ def test_morphemes_follow_replace_after_first_read():
     token = parse_conllu(FIG1_CONLLU)[0].tokens[1]
     assert token.morphemes == (("분위기", "NNG"), ("나", "JC"))
     assert token.morphemes is token.morphemes
-    retagged = token.replace(xpos="NNG+JX")
+    retagged = token._replace(xpos="NNG+JX")
     assert retagged.morphemes == (("분위기", "NNG"), ("나", "JX"))
-    relemmatized = token.replace(lemma="분위+기")
+    relemmatized = token._replace(lemma="분위+기")
     assert relemmatized.morphemes == (("분위", "NNG"), ("기", "JC"))
     assert token.morphemes == (("분위기", "NNG"), ("나", "JC"))
     # every read of a misaligned token fails, naming the token
     for _ in range(2):
         with pytest.raises(ValueError, match=r"misalignment: 3 lemma segment.* in token 2 \('분위기나'\)"):
-            token.replace(lemma="분+위기+나").morphemes
+            token._replace(lemma="분+위기+나").morphemes
 
 
 @pytest.mark.parametrize("read_first", [False, True])
@@ -105,7 +105,7 @@ def test_token_copies_and_pickles(read_first):
 def test_a_parsed_token_behaves_like_one_its_constructor_builds(text):
     for sentence in parse_conllu(text):
         for token in sentence.tokens:
-            built = Token(**vars(token))
+            built = Token(**token._asdict())
             assert type(token) is Token
             assert token == built and built == token
             assert hash(token) == hash(built)
@@ -113,22 +113,35 @@ def test_a_parsed_token_behaves_like_one_its_constructor_builds(text):
             assert pickle.dumps(token) == pickle.dumps(built)
             assert pickle.loads(pickle.dumps(token)) == built
             for changes in ({}, {"upos": "X"}, {"lemma": "가", "xpos": "NNG", "head": None}):
-                twin = Token(**{**vars(built), **changes})
-                for copied in (built.replace(**changes), token.replace(**changes)):
+                twin = Token(**{**built._asdict(), **changes})
+                for copied in (built._replace(**changes), token._replace(**changes)):
                     assert copied == twin
-                    assert list(vars(copied).items()) == list(vars(twin).items())
+                    assert list(copied._asdict().items()) == list(twin._asdict().items())
                     assert pickle.dumps(copied) == pickle.dumps(twin)
 
 
 def test_token_replace_copies_and_rejects_an_unknown_field():
     token = parse_conllu(FIG1_CONLLU)[0].tokens[1]
-    copied = token.replace(xpos="NNG+JX")
+    copied = token._replace(xpos="NNG+JX")
     assert copied is not token and copied.morphemes == (("분위기", "NNG"), ("나", "JX"))
     assert token.xpos == "NNG+JC"
-    with pytest.raises(TypeError, match="'pos'"):
-        token.replace(pos="X")
-    with pytest.raises(TypeError, match="'pos'"):
-        token.replace(upos="X", pos="X")
+    with pytest.raises(ValueError, match="'pos'"):
+        token._replace(pos="X")
+    with pytest.raises(ValueError, match="'pos'"):
+        token._replace(upos="X", pos="X")
+
+
+@pytest.mark.parametrize("field", Token._fields)
+def test_a_token_field_cannot_be_assigned_or_deleted(field):
+    token = parse_conllu(FIG1_CONLLU)[0].tokens[1]
+    before = token._asdict()
+    with pytest.raises(AttributeError):
+        setattr(token, field, None)
+    with pytest.raises(AttributeError):
+        delattr(token, field)
+    with pytest.raises(AttributeError):
+        token.pos = "X"
+    assert token._asdict() == before
 
 
 def test_unknown_tag_strict_vs_lenient():
@@ -194,7 +207,7 @@ def test_a_shape_first_parsed_leniently_still_fails_in_strict_mode(cells):
 def _outcome(text, lenient):
     """Each token's field values, or the error parsing raised."""
     try:
-        return [[vars(t) for t in s.tokens] for s in parse_conllu(text, lenient=lenient)]
+        return [[t._asdict() for t in s.tokens] for s in parse_conllu(text, lenient=lenient)]
     except ConlluError as error:
         return str(error)
 

@@ -398,7 +398,7 @@ def test_a_pack_cannot_swap_the_rules_its_memo_was_filled_from(pack):
 
 def test_misaligned_token_fails_naming_itself(pack):
     sentence = make_sentence([("학교", "학교", "NNG", "NOUN")])
-    misaligned = sentence._replace(tokens=(sentence.tokens[0].replace(lemma="학+교"),))
+    misaligned = sentence._replace(tokens=(sentence.tokens[0]._replace(lemma="학+교"),))
     for _ in range(2):
         with pytest.raises(ValueError, match=r"misalignment: 2 lemma.* in token 1 \('학교'\)"):
             enrich_sentence(misaligned, pack)

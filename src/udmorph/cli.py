@@ -4,8 +4,10 @@ Data flows on stdout, diagnostics and `WARNING: <message>` lines
 (`conllu.warn`) on stderr, so stages compose in shell pipelines
 (`udmorph enrich x.conllu | udmorph correct - | ...`).  Every input
 argument reads stdin for `-`, at most one per command.  Sentences stream one
-at a time in every command, `eval`'s gold and predictions in step; outputs are
-byte-deterministic for identical inputs.  Exit codes:
+at a time in every command, `eval`'s gold and predictions in step; only
+`correct --records` holds every CorrectionRecord until the end, as the log's
+`# total_tokens` header comes first.  Outputs are byte-deterministic for
+identical inputs.  Exit codes:
 0 success, 1 validation failure, 2 I/O or format error.
 
 Each `_cmd_*` imports only the stages it runs and calls them through their
@@ -82,12 +84,16 @@ def _stream_sentences(args: argparse.Namespace) -> Iterator[conllu.Sentence]:
                 raise conllu.ConlluError(f"{path}: {error}") from None
 
 
-def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "inputs", nargs="*", default=["-"], help="CoNLL-U file(s), '-' for stdin"
     )
-    parser.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
     parser.add_argument("--lenient", action="store_true", help="map unknown XPOS tags to NA")
+
+
+def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_input_arguments(parser)
+    parser.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
 
 
 def _add_rules_argument(parser: argparse.ArgumentParser) -> None:
@@ -106,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check structural and annotation invariants")
-    _add_io_arguments(p)
+    _add_input_arguments(p)
 
     p = sub.add_parser("enrich", help="assign morphosyntactic features from the rule pack")
     _add_io_arguments(p)

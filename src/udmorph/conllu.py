@@ -485,7 +485,7 @@ def write_conllu(sentences: Iterable[Sentence], sink: TextIO) -> None:
         sink.write("\n")
 
 
-def _check_token(sid: str, token: Token, report) -> None:
+def _check_token(token: Token, report) -> None:
     # the raw columns, not token.morphemes: a misaligned token is reported
     segments, tags = _split_plus(token.lemma), _split_plus(token.xpos)
     problem = _misalignment(segments, tags, lenient=False)
@@ -558,7 +558,7 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
         for position, token in enumerate(sentence.tokens, start=1):
             if token.id != position:
                 report(token.id, "id-sequence", f"expected id {position}, got {token.id}")
-            _check_token(sid, token, report)
+            _check_token(token, report)
 
         roots = [t for t in sentence.tokens if t.head == 0]
         if n and not roots:

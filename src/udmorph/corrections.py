@@ -2,9 +2,10 @@
 
 Five correction rules run in a fixed order per token; later rules see the
 earlier rules' output.  Corrections touch UPOS, XPOS and LEMMA only - ids,
-heads and dependency relations are never modified.  Every change yields a
-CorrectionRecord, and replaying the records against the original sentence
-reproduces the corrected sentence exactly.
+heads and dependency relations are never modified.  Each change goes through
+one helper, which writes a CorrectionRecord iff the field's value changes, by
+the field map `apply_records` replays with, so replaying the records against
+the original sentence reproduces the corrected sentence exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 from .conllu import (
     CANONICAL_UPOS,
     SEJONG_TAGS,
+    Morpheme,
     Sentence,
     Token,
     UdmorphError,
@@ -35,6 +37,13 @@ def _parse_int(text: str, name: str, lineno: int) -> int:
         return int(text)
     except ValueError:
         raise CorrectionError(f"{name} must be an integer, got {text!r}", line=lineno) from None
+
+
+def _parse_token_id(text: str, lineno: int) -> int:
+    token_id = _parse_int(text, "token_id", lineno)
+    if token_id < 1:
+        raise CorrectionError(f"token_id must be at least 1, got {token_id}", line=lineno)
+    return token_id
 
 
 class AuxAnnotation(NamedTuple):
@@ -75,27 +84,20 @@ _COMPLEMENT_STEMS = ("되", "아니")
 _PREDICATE_TAGS = frozenset({"VV", "VA", "VX", "VCP", "VCN"})
 
 
-def _first_content_index(token: Token) -> int | None:
-    for i, m in enumerate(token.morphemes):
-        if m.tag in CANONICAL_UPOS:
-            return i
-    return None
+_RECORD_ATTRIBUTES = {"UPOS": "upos", "XPOS": "xpos", "LEMMA": "lemma"}
 
 
-def _set_tag(token: Token, index: int, tag: str) -> Token:
-    tags = [m.tag for m in token.morphemes]
+def _retagged(morphemes: Sequence[Morpheme], index: int, tag: str) -> str:
+    """The XPOS of `morphemes` with the tag at `index` replaced by `tag`."""
+    tags = [m.tag for m in morphemes]
     tags[index] = tag
-    return token._replace(xpos="+".join(tags))
+    return "+".join(tags)
 
 
 def _reads_as_one_morpheme(form: str) -> bool:
     """True iff FORM, written as LEMMA, reads back as exactly one segment
     ("_" reads back as an empty LEMMA)."""
     return form != "_" and len(_split_plus(form)) == 1
-
-
-def _is_complement_head(token: Token) -> bool:
-    return bool(token.morphemes) and token.morphemes[0].surface in _COMPLEMENT_STEMS
 
 
 def correct_token(
@@ -106,82 +108,70 @@ def correct_token(
     records: list[CorrectionRecord],
     sid: str,
 ) -> Token:
-    def record(field: str, original: str, corrected: str, rule_id: str) -> None:
-        records.append(CorrectionRecord(sid, token.id, field, original, corrected, rule_id))
+    def rewrite(field: str, value: str | None, rule_id: str) -> bool:
+        """Set and record `field`; False, with no record, if `value` is None or no change."""
+        nonlocal token
+        attribute = _RECORD_ATTRIBUTES[field]
+        original = getattr(token, attribute)
+        if value is None or value == original:
+            return False
+        records.append(CorrectionRecord(sid, token.id, field, original, value, rule_id))
+        token = token._replace(**{attribute: value})
+        return True
+
+    # `morphemes` is read again only after a rewrite of LEMMA or XPOS
+    morphemes = token.morphemes
 
     # 1. external-analysis and NER reconciliation (needs a sidecar entry)
     if aux is not None:
-        if aux.ext_xpos:
-            if len(aux.ext_xpos) == len(token.morphemes):
-                new_xpos = "+".join(aux.ext_xpos)
-                if new_xpos != token.xpos:
-                    record("XPOS", token.xpos, new_xpos, "ext-xpos")
-                    token = token._replace(xpos=new_xpos)
-            elif len(aux.ext_xpos) == 1 and _reads_as_one_morpheme(token.form):
-                # collapse a spurious segmentation: the word is one unit
-                if token.lemma != token.form:
-                    record("LEMMA", token.lemma, token.form, "ext-xpos")
-                if token.xpos != aux.ext_xpos[0]:
-                    record("XPOS", token.xpos, aux.ext_xpos[0], "ext-xpos")
-                token = token._replace(lemma=token.form, xpos=aux.ext_xpos[0])
-        head_index = _first_content_index(token)
-        if head_index is not None:
-            head_tag = token.morphemes[head_index].tag
-            if head_tag == "NNG" and aux.ner_label:
-                old_xpos = token.xpos
-                token = _set_tag(token, head_index, "NNP")
-                record("XPOS", old_xpos, token.xpos, "ner-propn")
-                if token.upos != "PROPN":
-                    record("UPOS", token.upos, "PROPN", "ner-propn")
-                    token = token._replace(upos="PROPN")
-            elif head_tag == "NNP" and not aux.ner_label:
-                old_xpos = token.xpos
-                token = _set_tag(token, head_index, "NNG")
-                record("XPOS", old_xpos, token.xpos, "ner-common")
-                upos = canonical_upos(token.morphemes)
-                if upos is not None and upos != token.upos:
-                    record("UPOS", token.upos, upos, "ner-common")
-                    token = token._replace(upos=upos)
+        ext = aux.ext_xpos
+        if ext and len(ext) == len(morphemes):
+            if rewrite("XPOS", "+".join(ext), "ext-xpos"):
+                morphemes = token.morphemes
+        elif ext and len(ext) == 1 and _reads_as_one_morpheme(token.form):
+            # collapse a spurious segmentation (LEMMA or XPOS always changes)
+            rewrite("LEMMA", token.form, "ext-xpos")
+            rewrite("XPOS", ext[0], "ext-xpos")
+            morphemes = token.morphemes
+        head = next((i for i, m in enumerate(morphemes) if m.tag in CANONICAL_UPOS), None)
+        head_tag = None if head is None else morphemes[head].tag
+        if head_tag == "NNG" and aux.ner_label:
+            rewrite("XPOS", _retagged(morphemes, head, "NNP"), "ner-propn")
+            morphemes = token.morphemes
+            rewrite("UPOS", "PROPN", "ner-propn")
+        elif head_tag == "NNP" and not aux.ner_label:
+            rewrite("XPOS", _retagged(morphemes, head, "NNG"), "ner-common")
+            morphemes = token.morphemes
+            rewrite("UPOS", canonical_upos(morphemes), "ner-common")
 
     # 2. canonical UPOS from the lexical base morpheme
-    upos = canonical_upos(token.morphemes)
-    if upos is not None and upos != token.upos:
-        record("UPOS", token.upos, upos, "canonical-upos")
-        token = token._replace(upos=upos)
+    rewrite("UPOS", canonical_upos(morphemes), "canonical-upos")
 
     # 3. XR is a noun fragment: normalize word-initial XR to NNG
-    tags = [m.tag for m in token.morphemes]
-    if tags and tags[0] == "XR" and (len(tags) == 1 or tags[1] in ("XSA", "XSN", "XSV")):
-        old_xpos = token.xpos
-        token = _set_tag(token, 0, "NNG")
-        record("XPOS", old_xpos, token.xpos, "xr-noun")
+    if morphemes and morphemes[0].tag == "XR" and (
+        len(morphemes) == 1 or morphemes[1].tag in ("XSA", "XSN", "XSV")
+    ):
+        rewrite("XPOS", _retagged(morphemes, 0, "NNG"), "xr-noun")
+        morphemes = token.morphemes
 
     # 4. complement marker before 되다/아니다: JKS -> JKC
-    morphemes = token.morphemes
     if morphemes and morphemes[-1].tag == "JKS" and morphemes[-1].surface in ("이", "가"):
-        head_token = None
         if token.head and 1 <= token.head <= len(sentence.tokens):
-            head_token = sentence.tokens[token.head - 1]
-        else:
+            stem = sentence.tokens[token.head - 1].morphemes[:1]
+        else:  # no usable head: the stem of the first following predicate, if any
             for following in sentence.tokens[token.id:]:
-                if following.morphemes and following.morphemes[0].tag in _PREDICATE_TAGS:
-                    head_token = following
+                stem = following.morphemes[:1]
+                if stem and stem[0].tag in _PREDICATE_TAGS:
                     break
-        if head_token is not None and _is_complement_head(head_token):
-            old_xpos = token.xpos
-            token = _set_tag(token, len(morphemes) - 1, "JKC")
-            record("XPOS", old_xpos, token.xpos, "complement-jkc")
+            else:
+                stem = ()
+        if stem and stem[0].surface in _COMPLEMENT_STEMS:
+            rewrite("XPOS", _retagged(morphemes, len(morphemes) - 1, "JKC"), "complement-jkc")
+            morphemes = token.morphemes
 
     # 5. conjunctive adverbs: MAG -> MAJ
-    morphemes = token.morphemes
-    if (
-        len(morphemes) == 1
-        and morphemes[0].tag == "MAG"
-        and token.form in pack.conjunctive_adverbs
-    ):
-        old_xpos = token.xpos
-        token = _set_tag(token, 0, "MAJ")
-        record("XPOS", old_xpos, token.xpos, "conj-adverb")
+    if len(morphemes) == 1 and morphemes[0].tag == "MAG" and token.form in pack.conjunctive_adverbs:
+        rewrite("XPOS", _retagged(morphemes, 0, "MAJ"), "conj-adverb")
 
     return token
 
@@ -208,9 +198,6 @@ def correct_sentence(
         for token in sentence.tokens
     )
     return Sentence(sentence.comments, tokens, sentence.extras), records
-
-
-_RECORD_ATTRIBUTES = {"UPOS": "upos", "XPOS": "xpos", "LEMMA": "lemma"}
 
 
 def apply_records(sentence: Sentence, records: Iterable[CorrectionRecord]) -> Sentence:
@@ -308,9 +295,7 @@ def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | No
         if len(fields) != 6:
             raise CorrectionError(f"expected 6 columns, got {len(fields)}", line=lineno)
         sent_id, token_id, field_name, original, corrected, rule_id = fields
-        token_number = _parse_int(token_id, "token_id", lineno)
-        if token_number < 1:
-            raise CorrectionError(f"token_id must be at least 1, got {token_number}", line=lineno)
+        token_number = _parse_token_id(token_id, lineno)
         records.append(
             CorrectionRecord(
                 sent_id="" if sent_id == "_" else sent_id,
@@ -348,7 +333,7 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
             for code in ext:
                 if code not in SEJONG_TAGS:
                     raise CorrectionError(f"unknown XPOS tag {code!r}", line=lineno)
-        token_number = _parse_int(token_id, "token_id", lineno)
+        token_number = _parse_token_id(token_id, lineno)
         first = first_lines.setdefault((sent_id, token_number), lineno)
         if first != lineno:
             raise CorrectionError(

@@ -59,6 +59,16 @@ def test_validate_exit_codes(tmp_path):
     assert main(["validate", bad]) == 1
 
 
+def test_validate_rejects_an_output_option_it_would_not_write(tmp_path, capsys):
+    # validate writes only diagnostics, to stderr
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", _write(tmp_path / "in.conllu", FIG1_CONLLU), "-o", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: -o" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_names_a_sentence_with_empty_sent_id_by_its_position(tmp_path, capsys):
     text = (
         FIG1_CONLLU

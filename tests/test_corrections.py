@@ -19,6 +19,7 @@ from udmorph.corrections import (
     read_records,
     write_records,
 )
+from udmorph.itdata import to_it_record
 from udmorph.rules import enrich_sentence
 
 
@@ -312,6 +313,9 @@ def test_sidecar_parsing():
     assert entries[2].ext_xpos == ("NNG", "JKS")
     with pytest.raises(CorrectionError, match="unknown XPOS tag"):
         read_aux_sidecar("s1\t1\t_\tZZZ\n")
+    for token_id in ("0", "-3"):
+        with pytest.raises(CorrectionError, match=f"line 2: token_id must be at least 1, got {token_id}"):
+            read_aux_sidecar(f"s1\t1\t_\t_\ns1\t{token_id}\tLOC\t_\n")
 
 
 def _aux_entries(sentence):
@@ -351,5 +355,42 @@ def test_log_written_and_read_back_replays_to_the_corrected_sentence(pack, text,
         write_records(records, len(sentence.tokens), sink)
         replayed, total = read_records(sink.getvalue())
         assert total == len(sentence.tokens)
+        assert all(r.original != r.corrected for r in records)
         assert apply_records(sentence, replayed) == corrected
         assert (corrected.comments, corrected.extras) == (sentence.comments, sentence.extras)
+
+
+@st.composite
+def _lenient_treebank(draw):
+    """SEJONG_TREEBANK text with drawn LEMMA or XPOS cells set to "_" and
+    drawn tags replaced by an unknown code, which only `lenient` accepts."""
+    lines = draw(SEJONG_TREEBANK).split("\n")
+    for i, line in enumerate(lines):
+        cells = line.split("\t")
+        if len(cells) != 10 or not cells[0].isdigit():
+            continue
+        damage = draw(st.sampled_from(["none", "lemma", "xpos", "tag"]))
+        if damage == "lemma":
+            cells[2] = "_"
+        elif damage == "xpos":
+            cells[4] = "_"
+        elif damage == "tag":
+            tags = cells[4].split("+")
+            tags[draw(st.integers(0, len(tags) - 1))] = "ZZZ"
+            cells[4] = "+".join(tags)
+        lines[i] = "\t".join(cells)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_lenient_treebank(), data=st.data())
+def test_what_lenient_parsing_accepts_passes_enrich_and_correct(pack, text, data):
+    for sentence in parse_conllu(text, lenient=True):
+        enriched = enrich_sentence(sentence, pack)
+        corrected, records = correct_sentence(enriched, data.draw(_aux_entries(enriched)), pack)
+        sink = io.StringIO()
+        write_records(records, len(enriched.tokens), sink)
+        assert apply_records(enriched, read_records(sink.getvalue())[0]) == corrected
+        (reparsed,) = parse_conllu(serialize_conllu([corrected]), lenient=True)
+        assert reparsed.tokens == corrected.tokens
+        to_it_record(corrected)

@@ -7,7 +7,8 @@ argument reads stdin for `-`, at most one per command.  Sentences stream one
 at a time in every command, `eval`'s gold and predictions in step; only
 `correct --records` holds every CorrectionRecord until the end, as the log's
 `# total_tokens` header comes first.  Outputs are byte-deterministic for
-identical inputs.  Exit codes:
+identical inputs.  A named output (`-o FILE`, `--records FILE`) is written
+all or nothing (`_replacing`); stdout cannot be.  Exit codes:
 0 success, 1 validation failure, 2 I/O or format error.
 
 Each `_cmd_*` imports only the stages it runs and calls them through their
@@ -22,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Iterator, TextIO
 
 from . import conllu
@@ -40,11 +41,41 @@ def _open(path: str, mode: str = "r") -> TextIO:
     return open(path, mode, encoding=_ENCODING[mode])
 
 
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """`path` written all or nothing: the block writes a new file beside it,
+    which replaces `path` only when the block succeeds and is removed on any
+    error, so an output that names an input is replaced only after the input
+    was read to its end.  The new file gets the mode of any new file (0o666
+    less the umask).  A path naming something other than a regular file
+    (`/dev/null`, a pipe) is written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with _open(path, "w") as sink:
+            yield sink
+        return
+    head, name = os.path.split(target)
+    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as error:  # named by the target, which the user gave
+        raise OSError(error.errno, error.strerror, path) from None
+    try:
+        with open(fd, "w", encoding=_ENCODING["w"]) as sink:
+            yield sink
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 def _open_or_stdio(path: str, mode: str = "r") -> AbstractContextManager[TextIO]:
-    """`_open`, but '-' is stdin or stdout, set to the same encoding in place
-    and never closed; stdin also translates line endings as `_open` does."""
+    """`_open` to read and `_replacing` to write, but '-' is stdin or stdout,
+    set to the same encoding in place and never closed (so a failed command
+    leaves what it already wrote on stdout); stdin also translates line
+    endings as `_open` does."""
     if path != "-":
-        return _open(path, mode)
+        return _open(path) if mode == "r" else _replacing(path)
     if mode == "r":
         sys.stdin.reconfigure(encoding=_ENCODING[mode], newline=None)
         return nullcontext(sys.stdin)
@@ -185,7 +216,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
         aux_by_sentence.setdefault(entry.sent_id, []).append(entry)
 
     # the log is opened first, so an unwritable one fails before any output
-    log_context = nullcontext() if args.records is None else _open(args.records, "w")
+    log_context = nullcontext() if args.records is None else _replacing(args.records)
     all_records: list[corrections.CorrectionRecord] = []
     total_tokens = 0
     matched: set[str] = set()

@@ -1,12 +1,13 @@
 """CoNLL-U parsing, serialization and validation.
 
 The data model keeps the morpheme-segmented LEMMA and XPOS columns as raw
-`+`-joined strings (the serialization authority).  Parsing checks each raw
-(LEMMA, XPOS) cell pair once, in `_word_shape`, and builds no morphemes.  A
-token's aligned (surface, tag) morpheme pairs come from `_morphemes`, which
-splits each (LEMMA, XPOS) shape once and shares the result among every
-token of that shape.  Every memo in the package is an LRU cache bounded by
-`MEMO_SIZE`.
+`+`-joined strings (the serialization authority).  Parsing resolves each
+token line's raw (LEMMA, UPOS, XPOS, FEATS) cells once, in `_token_cells`:
+it checks the tags and the alignment, shares one FEATS bag (`_parse_feats`)
+and builds no morphemes.  A token's aligned (surface, tag) morpheme pairs
+come from `_morphemes`, which splits each (LEMMA, XPOS) shape once and
+shares the result among every token of that shape.  Every memo in the
+package is an LRU cache bounded by `MEMO_SIZE`.
 Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
 and excluded from the token list and from all structural checks.
 """
@@ -21,9 +22,12 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 COLUMN_COUNT = 10
 
-# Entries each memo keeps (parsed FEATS cells, checked raw word shapes, split
-# word shapes, a rule pack's verdicts and bags), least recently used dropped
-# first: a fixed bound, so a stream of ever new values cannot grow memory.
+# Entries each memo keeps, least recently used dropped first: a fixed bound,
+# so a stream of ever new values cannot grow memory.  The memos are
+# `conllu._parse_feats` (FEATS cells), `conllu._token_cells` (a token line's
+# raw LEMMA, UPOS, XPOS and FEATS cells), `conllu._morphemes` (split word
+# shapes), a rule pack's `verdict` and `_winners_bag`, and
+# `corrections._aux_free_correction` (the corrections of an aux-free shape).
 MEMO_SIZE = 4096
 
 # Sejong morpheme tag inventory (closed set).
@@ -197,6 +201,11 @@ def _parse_feats(text: str) -> FeatureBag:
     return FeatureBag(entries)
 
 
+# Builds a record from the tuple of its values in one C-level call, without
+# the Python-level `__new__` of a NamedTuple: `_new_tuple(Token, values)`.
+_new_tuple = tuple.__new__
+
+
 class Morpheme(NamedTuple):
     surface: str
     tag: str
@@ -230,14 +239,15 @@ def _morphemes(lemma: str, xpos: str) -> tuple[Morpheme, ...]:
     problem = _misalignment(segments, tags, lenient=True)
     if problem:
         raise ValueError(problem)
-    return tuple(map(Morpheme, segments, tags))
+    return tuple([_new_tuple(Morpheme, pair) for pair in zip(segments, tags)])
 
 
 class Token(NamedTuple):
     """One syntactic word.  `lemma` and `xpos` hold raw `+`-joined columns.
 
     A record like every other: copied with changes by `token._replace(...)`,
-    and equal to the plain tuple of its ten values."""
+    and equal to the plain tuple of its ten values.  The hot paths build it
+    with `_new_tuple(Token, values)`, which gives the same record."""
 
     id: int
     form: str
@@ -263,9 +273,9 @@ class Token(NamedTuple):
     def with_feats(self, feats: FeatureBag) -> Token:
         """This token with `feats`; the token itself when the bag is equal
         to its own."""
-        if feats == self.feats:
+        if feats is self.feats or feats == self.feats:
             return self
-        return self._replace(feats=feats)
+        return _new_tuple(Token, (*self[:5], feats, *self[6:]))
 
 
 class Sentence(NamedTuple):
@@ -318,12 +328,15 @@ def canonical_upos(morphemes: Iterable[Morpheme]) -> str | None:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _word_shape(lemma: str, xpos: str, lenient: bool) -> tuple[str, str, tuple[str, ...]]:
-    """The stored LEMMA and XPOS of a raw (LEMMA, XPOS) cell pair, with each
-    unknown tag mapped to `NA` under `lenient`, and the unknown codes in
-    order.  Checks the tags and the alignment once per shape and builds no
-    morphemes; a bad shape raises `ConlluError` without a line number and
-    is not remembered."""
+def _token_cells(
+    lemma: str, upos: str, xpos: str, feats: str, lenient: bool
+) -> tuple[str, str, str, FeatureBag, tuple[str, ...]]:
+    """The stored LEMMA, XPOS and UPOS of a token line's raw (LEMMA, UPOS,
+    XPOS, FEATS) cells, its shared FEATS bag, and the unknown XPOS codes in
+    order, each mapped to `NA` under `lenient`.  Checks the tags, then the
+    alignment, then FEATS, once per distinct cells, and builds no morphemes;
+    a bad cell raises `ConlluError` without a line number and is not
+    remembered."""
     lemma = "" if lemma == "_" else lemma
     xpos = "" if xpos == "_" else xpos
     tags = []
@@ -338,64 +351,31 @@ def _word_shape(lemma: str, xpos: str, lenient: bool) -> tuple[str, str, tuple[s
     problem = _misalignment(_split_plus(lemma), tags, lenient)
     if problem:
         raise ConlluError(problem)
-    return lemma, "+".join(tags), tuple(unknown)
+    return lemma, "+".join(tags), "" if upos == "_" else upos, _parse_feats(feats), tuple(unknown)
 
 
-def _parse_token(
-    columns: list[str], lineno: int, expected_id: int, lenient: bool, unknown_tags: dict
-) -> Token:
-    raw_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
+def _id_error(raw_id: str, expected: int, lineno: int) -> ConlluError:
+    """The error for a word id that is not the next one of its sentence."""
     try:
         token_id = int(raw_id)
     except ValueError:  # more digits than int() converts
-        raise ConlluError(f"invalid token id: {len(raw_id)} digits", lineno) from None
-    if token_id != expected_id:
-        raise ConlluError(
-            f"non-contiguous token ids: expected {expected_id}, got {token_id}", lineno
-        )
-
-    try:
-        lemma, xpos, unknown = _word_shape(lemma, xpos, lenient)
-    except ConlluError as error:
-        raise ConlluError(str(error), lineno) from None
-    for code in unknown:
-        unknown_tags.setdefault(code, [lineno, 0])[1] += 1
-
-    if head == "_":
-        head_value: int | None = None
-    elif head == "0" or _WORD_ID_RE.match(head):
-        try:
-            head_value = int(head)
-        except ValueError:  # more digits than int() converts
-            raise ConlluError(f"invalid HEAD value: {len(head)} digits", lineno) from None
-    else:
-        raise ConlluError(f"invalid HEAD value {head!r}", lineno)
-
-    return Token(
-        token_id,
-        form,
-        lemma,
-        xpos,
-        "" if upos == "_" else upos,
-        FeatureBag.from_conllu(feats, lineno),
-        head_value,
-        "" if deprel == "_" else deprel,
-        deps,
-        misc,
-    )
+        return ConlluError(f"invalid token id: {len(raw_id)} digits", lineno)
+    return ConlluError(f"non-contiguous token ids: expected {expected}, got {token_id}", lineno)
 
 
 def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[Sentence]:
     """Stream sentences from decoded CoNLL-U text: open a file with
     `encoding="utf-8-sig"`, as the CLI does, to drop a leading BOM.  Memory
-    holds one sentence plus the parsed FEATS memo and the checked word-shape
-    memo, which keep at most `MEMO_SIZE` entries each.  Under `lenient`,
-    each unknown XPOS tag is warned about once, at the end."""
-    stream = io.StringIO(source) if isinstance(source, str) else source
+    holds one sentence plus the parsed FEATS memo and the token-cells memo,
+    which keep at most `MEMO_SIZE` entries each.  Under `lenient`,
+    each unknown XPOS tag is warned about once, at the end.  A `str` is read
+    with universal newlines, as the CLI reads a file."""
+    stream = io.StringIO(source, newline=None) if isinstance(source, str) else source
     comments: list[str] = []
     tokens: list[Token] = []
     extras: list[tuple[int, str]] = []
     unknown_tags: dict[str, list[int]] = {}  # tag -> [first line, count]
+    id_texts = ["0"]  # id_texts[n] == str(n), grown to the longest sentence
 
     def flush(lineno: int) -> Sentence:
         if not tokens:
@@ -423,13 +403,42 @@ def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[S
             raise ConlluError(
                 f"expected {COLUMN_COUNT} tab-separated columns, got {len(columns)}", lineno
             )
-        raw_id = columns[0]
-        if _WORD_ID_RE.match(raw_id):
-            tokens.append(_parse_token(columns, lineno, len(tokens) + 1, lenient, unknown_tags))
-        elif _RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id):
+        raw_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
+        token_id = len(tokens) + 1
+        if token_id == len(id_texts):
+            id_texts.append(str(token_id))
+        if raw_id != id_texts[token_id]:
+            if _WORD_ID_RE.match(raw_id):
+                raise _id_error(raw_id, token_id, lineno)
+            if not (_RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id)):
+                raise ConlluError(f"invalid token id {raw_id!r}", lineno)
             extras.append((len(tokens), line))
+            continue
+
+        try:
+            lemma, xpos, upos, bag, unknown = _token_cells(lemma, upos, xpos, feats, lenient)
+        except ConlluError as error:
+            raise ConlluError(str(error), lineno) from None
+        for code in unknown:
+            unknown_tags.setdefault(code, [lineno, 0])[1] += 1
+
+        if head == "_":
+            head_value: int | None = None
+        elif head == "0" or _WORD_ID_RE.match(head):
+            try:
+                head_value = int(head)
+            except ValueError:  # more digits than int() converts
+                raise ConlluError(f"invalid HEAD value: {len(head)} digits", lineno) from None
         else:
-            raise ConlluError(f"invalid token id {raw_id!r}", lineno)
+            raise ConlluError(f"invalid HEAD value {head!r}", lineno)
+
+        tokens.append(
+            _new_tuple(
+                Token,
+                (token_id, form, lemma, xpos, upos, bag, head_value,
+                 "" if deprel == "_" else deprel, deps, misc),
+            )
+        )
 
     if comments or tokens or extras:
         yield flush(lineno + 1)

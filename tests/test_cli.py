@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import udmorph
-from conftest import FIG1_CONLLU, FIG1_FEATS
+from conftest import FIG1_CONLLU, FIG1_FEATS, SEJONG_TREEBANK
 from udmorph.cli import main
 
 
@@ -689,3 +692,48 @@ def test_multiple_input_files_concatenate(tmp_path):
     out = tmp_path / "out.conllu"
     assert main(["enrich", first, second, "-o", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == FIG1_CONLLU * 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=SEJONG_TREEBANK, data=st.data())
+def test_a_failed_command_leaves_every_named_output_as_it_was(text, data):
+    lines = text.split("\n")
+    lines.insert(data.draw(st.integers(0, len(lines) - 1)), "1\tmalformed")
+    for command, *options in (["enrich"], ["correct", "--records", "log.tsv"], ["convert-it"]):
+        with tempfile.TemporaryDirectory() as workdir:
+            workdir = Path(workdir)
+            _write(workdir / "in.conllu", "\n".join(lines))
+            (workdir / "out").write_bytes(b"old output\n")
+            (workdir / "log.tsv").write_bytes(b"old log\n")
+            before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+            argv = [command, "in.conllu", *options, "-o", "out"]
+            assert main([str(workdir / a) if a in before else a for a in argv]) == 2
+            # no temporary file is left, and every output keeps its bytes
+            assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before, command
+
+
+def test_an_input_named_as_the_output_is_read_before_it_is_replaced(tmp_path):
+    same = _write(tmp_path / "same.conllu", BLANKED)
+    _write(tmp_path / "in.conllu", BLANKED)
+    assert main(["enrich", str(tmp_path / "in.conllu"), "-o", str(tmp_path / "other.conllu")]) == 0
+    assert main(["enrich", same, "-o", same]) == 0
+    assert (tmp_path / "same.conllu").read_bytes() == (tmp_path / "other.conllu").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.conllu", "other.conllu", "same.conllu"]
+
+
+def test_an_output_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    src = _write(tmp_path / "in.conllu", BLANKED)
+    assert main(["enrich", src, "-o", os.devnull]) == 0
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.conllu"]
+
+
+def test_a_replaced_output_gets_the_mode_of_a_new_file(tmp_path):
+    src = _write(tmp_path / "in.conllu", BLANKED)
+    out = tmp_path / "out.conllu"
+    out.write_bytes(b"old output\n")
+    out.chmod(0o600)
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert main(["enrich", src, "-o", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask

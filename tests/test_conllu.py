@@ -217,7 +217,7 @@ def _outcome(text, lenient):
 def test_parse_is_the_same_with_the_shape_memo_warm_or_cleared(text, lenient, unknown):
     if unknown:  # an unknown tag: strict parsing fails, lenient maps it to NA
         text = text.replace(unknown, "ZZZ")
-    conllu._word_shape.cache_clear()
+    conllu._token_cells.cache_clear()
     cold = _outcome(text, lenient)
     _outcome(text, not lenient)  # warm the memo in the other mode too
     assert _outcome(text, lenient) == cold
@@ -234,7 +234,7 @@ def test_parse_checks_each_word_shape_once(monkeypatch):
     calls = []
     split_plus = conllu._split_plus
     monkeypatch.setattr(conllu, "_split_plus", lambda raw: calls.append(raw) or split_plus(raw))
-    conllu._word_shape.cache_clear()
+    conllu._token_cells.cache_clear()
     sentences = parse_conllu("".join(lines), lenient=True)
     assert sum(len(s.tokens) for s in sentences) == 60
     assert len(calls) <= 2 * len(shapes)
@@ -506,3 +506,31 @@ def test_every_bad_input_error_is_one_udmorph_error_that_names_its_line():
         assert (str(error), error.line) == ("line 3: empty sent_id", 3)
         assert (str(error_class("no rules")), error_class("no rules").line) == ("no rules", None)
     assert issubclass(UdmorphError, ValueError)
+
+
+def test_a_crlf_string_parses_as_the_lf_string_does():
+    text = "# sent_id = a\n1\t학교\t학교\tNOUN\tNNG\t_\t0\troot\t_\t_\n\n"
+    (sentence,) = parse_conllu(text.replace("\n", "\r\n"))
+    assert sentence == parse_conllu(text)[0]
+    assert sentence.tokens[0].misc == "_"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=SEJONG_TREEBANK, lenient=st.booleans())
+def test_crlf_text_parses_as_lf_text_does(text, lenient):
+    assert parse_conllu(text.replace("\n", "\r\n"), lenient=lenient) == parse_conllu(text, lenient=lenient)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("Case\t_", "invalid FEATS syntax: 'Case'"),
+        ("Case=Nom\tx", "invalid HEAD value 'x'"),
+        ("Case\tx", "invalid FEATS syntax: 'Case'"),
+    ],
+    ids=["feats", "head", "feats-before-head"],
+)
+def test_a_line_with_bad_feats_and_a_bad_head_reports_feats_first(cells, message):
+    text = f"1\t학교\t학교\tNOUN\tNNG\t{cells}\troot\t_\t_\n\n"
+    with pytest.raises(ConlluError, match=rf"^line 1: {re.escape(message)}$"):
+        parse_conllu(text)

@@ -41,25 +41,38 @@ def _open(path: str, mode: str = "r") -> TextIO:
     return open(path, mode, encoding=_ENCODING[mode])
 
 
+def _replaced_target(path: str) -> str | None:
+    """The real path `_replacing(path)` renames its new file onto; None when
+    `path` names something other than a regular file (`/dev/null`, a pipe),
+    which is written in place."""
+    target = os.path.realpath(path)
+    return None if os.path.exists(target) and not os.path.isfile(target) else target
+
+
 @contextmanager
 def _replacing(path: str) -> Iterator[TextIO]:
     """`path` written all or nothing: the block writes a new file beside it,
-    which replaces `path` only when the block succeeds and is removed on any
-    error, so an output that names an input is replaced only after the input
-    was read to its end.  The new file gets the mode of any new file (0o666
-    less the umask).  A path naming something other than a regular file
-    (`/dev/null`, a pipe) is written in place."""
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    `.NAME.PID.N.tmp` with the first N no file holds (a killed run leaves
+    its own behind), which replaces `path` only when the block succeeds and
+    is removed on any error, so an output that names an input is replaced
+    only after the input was read to its end.  The new file gets the mode
+    of any new file (0o666 less the umask)."""
+    target = _replaced_target(path)
+    if target is None:
         with _open(path, "w") as sink:
             yield sink
         return
     head, name = os.path.split(target)
-    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as error:  # named by the target, which the user gave
-        raise OSError(error.errno, error.strerror, path) from None
+    attempt = 0
+    while True:
+        temporary = os.path.join(head, f".{name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            attempt += 1
+        except OSError as error:  # named by the target, which the user gave
+            raise OSError(error.errno, error.strerror, path) from None
     try:
         with open(fd, "w", encoding=_ENCODING["w"]) as sink:
             yield sink
@@ -206,6 +219,10 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
 def _cmd_correct(args: argparse.Namespace) -> int:
     from . import corrections
 
+    if args.records is not None and args.output != "-":
+        log_target = _replaced_target(args.records)
+        if log_target is not None and log_target == _replaced_target(args.output):
+            raise conllu.UdmorphError(f"-o and --records name the same file: {args.output}")
     pack = _load_pack(args.rules)
     aux_entries: list[corrections.AuxAnnotation] = []
     if args.aux is not None:

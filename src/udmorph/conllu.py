@@ -26,8 +26,7 @@ COLUMN_COUNT = 10
 # so a stream of ever new values cannot grow memory.  The memos are
 # `conllu._parse_feats` (FEATS cells), `conllu._token_cells` (a token line's
 # raw LEMMA, UPOS, XPOS and FEATS cells), `conllu._morphemes` (split word
-# shapes), a rule pack's `verdict` and `_winners_bag`, and
-# `corrections._aux_free_correction` (the corrections of an aux-free shape).
+# shapes), and a rule pack's `verdict` and `_winners_bag`.
 MEMO_SIZE = 4096
 
 # Sejong morpheme tag inventory (closed set).
@@ -246,8 +245,9 @@ class Token(NamedTuple):
     """One syntactic word.  `lemma` and `xpos` hold raw `+`-joined columns.
 
     A record like every other: copied with changes by `token._replace(...)`,
-    and equal to the plain tuple of its ten values.  The hot paths build it
-    with `_new_tuple(Token, values)`, which gives the same record."""
+    and equal to the plain tuple of its ten values.  Parse, `with_feats` and
+    `with_misc` build it with `_new_tuple(Token, values)`, which gives the
+    same record; they are the only code that knows the field positions."""
 
     id: int
     form: str
@@ -276,6 +276,10 @@ class Token(NamedTuple):
         if feats is self.feats or feats == self.feats:
             return self
         return _new_tuple(Token, (*self[:5], feats, *self[6:]))
+
+    def with_misc(self, misc: str) -> Token:
+        """This token with the MISC cell `misc`."""
+        return _new_tuple(Token, (*self[:9], misc))
 
 
 class Sentence(NamedTuple):

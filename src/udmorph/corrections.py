@@ -6,33 +6,20 @@ heads and dependency relations are never modified.  Each change goes through
 one helper, which writes a CorrectionRecord iff the field's value changes, by
 the field map `apply_records` replays with, so replaying the records against
 the original sentence reproduces the corrected sentence exactly.
-
-Rules 2, 3 and 5 read only a word's (FORM, LEMMA, XPOS, UPOS) and the pack's
-conjunctive adverbs.  So a word without an aux entry is corrected through
-`_aux_free_correction`, an LRU cache of at most `MEMO_SIZE` entries keyed by
-those five values: it runs `correct_token` once on a token holding only the
-shape and keeps the corrected fields and the record stubs, which each token
-of the shape replays under its own sentence and token id.  A word with an
-aux entry (rule 1), or whose last morpheme is JKS 이/가 (rule 4 reads its
-sentence), runs `correct_token` itself.
 """
 
 from __future__ import annotations
 
 import io
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .conllu import (
     CANONICAL_UPOS,
-    MEMO_SIZE,
     SEJONG_TAGS,
     Morpheme,
     Sentence,
     Token,
     UdmorphError,
-    _morphemes,
-    _new_tuple,
     _split_plus,
     canonical_upos,
 )
@@ -98,7 +85,6 @@ _PREDICATE_TAGS = frozenset({"VV", "VA", "VX", "VCP", "VCN"})
 
 
 _RECORD_ATTRIBUTES = {"UPOS": "upos", "XPOS": "xpos", "LEMMA": "lemma"}
-_FIELD_INDEX = {field: Token._fields.index(name) for field, name in _RECORD_ATTRIBUTES.items()}
 
 
 def _retagged(morphemes: Sequence[Morpheme], index: int, tag: str) -> str:
@@ -114,35 +100,27 @@ def _reads_as_one_morpheme(form: str) -> bool:
     return form != "_" and len(_split_plus(form)) == 1
 
 
-def _reads_sentence(morphemes: Sequence[Morpheme]) -> bool:
-    """True iff rule 4 looks past the word: its last morpheme is JKS 이/가."""
-    return bool(morphemes) and morphemes[-1].tag == "JKS" and morphemes[-1].surface in ("이", "가")
-
-
 def correct_token(
     token: Token,
-    morphemes: tuple[Morpheme, ...],
     sentence: Sentence,
     aux: AuxAnnotation | None,
-    conjunctive_adverbs: frozenset[str],
+    pack: RulePack,
     records: list[CorrectionRecord],
     sid: str,
 ) -> Token:
-    """The token after rules 1-5, given its own `morphemes`; each change is
-    appended to `records` under `sid`."""
-
     def rewrite(field: str, value: str | None, rule_id: str) -> bool:
         """Set and record `field`; False, with no record, if `value` is None or no change."""
         nonlocal token
-        index = _FIELD_INDEX[field]
-        original = token[index]
+        attribute = _RECORD_ATTRIBUTES[field]
+        original = getattr(token, attribute)
         if value is None or value == original:
             return False
-        records.append(_new_tuple(CorrectionRecord, (sid, token.id, field, original, value, rule_id)))
-        token = _new_tuple(Token, (*token[:index], value, *token[index + 1 :]))
+        records.append(CorrectionRecord(sid, token.id, field, original, value, rule_id))
+        token = token._replace(**{attribute: value})
         return True
 
     # `morphemes` is read again only after a rewrite of LEMMA or XPOS
+    morphemes = token.morphemes
 
     # 1. external-analysis and NER reconciliation (needs a sidecar entry)
     if aux is not None:
@@ -177,7 +155,7 @@ def correct_token(
         morphemes = token.morphemes
 
     # 4. complement marker before 되다/아니다: JKS -> JKC
-    if _reads_sentence(morphemes):
+    if morphemes and morphemes[-1].tag == "JKS" and morphemes[-1].surface in ("이", "가"):
         if token.head and 1 <= token.head <= len(sentence.tokens):
             stem = sentence.tokens[token.head - 1].morphemes[:1]
         else:  # no usable head: the stem of the first following predicate, if any
@@ -192,7 +170,7 @@ def correct_token(
             morphemes = token.morphemes
 
     # 5. conjunctive adverbs: MAG -> MAJ
-    if len(morphemes) == 1 and morphemes[0].tag == "MAG" and token.form in conjunctive_adverbs:
+    if len(morphemes) == 1 and morphemes[0].tag == "MAG" and token.form in pack.conjunctive_adverbs:
         rewrite("XPOS", _retagged(morphemes, 0, "MAJ"), "conj-adverb")
 
     return token
@@ -215,51 +193,11 @@ def correct_sentence(
         aux_by_token[entry.token_id] = entry
 
     records: list[CorrectionRecord] = []
-    tokens = []
-    adverbs = pack.conjunctive_adverbs
-    for token in sentence.tokens:
-        aux = aux_by_token.get(token.id)
-        if aux is None:
-            shape = _aux_free_correction(token.form, token.lemma, token.xpos, token.upos, adverbs)
-            if shape is not None:
-                lemma, xpos, upos, stubs = shape
-                if stubs:
-                    where = (sid, token.id)
-                    records += [_new_tuple(CorrectionRecord, where + stub) for stub in stubs]
-                    token = _new_tuple(Token, (*token[:2], lemma, xpos, upos, *token[5:]))
-                tokens.append(token)
-                continue
-        tokens.append(correct_token(token, token.morphemes, sentence, aux, adverbs, records, sid))
-    return Sentence(sentence.comments, tuple(tokens), sentence.extras), records
-
-
-# what a shape-only token holds beyond (id, FORM, LEMMA, XPOS, UPOS)
-_SHAPE_ONLY = tuple(Token._field_defaults.values())
-_NO_SENTENCE = Sentence()
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _aux_free_correction(
-    form: str, lemma: str, xpos: str, upos: str, conjunctive_adverbs: frozenset[str]
-) -> tuple[str, str, str, tuple[tuple[str, str, str, str], ...]] | None:
-    """The corrected LEMMA, XPOS and UPOS of a word shape without an aux
-    entry, and its record stubs (field, original, corrected, rule_id) in
-    order, from `correct_token` run once on the shape alone; None when the
-    word takes the full path, because rule 4 reads its sentence or because
-    it is misaligned (the error names the token)."""
-    try:
-        morphemes = _morphemes(lemma, xpos)
-    except ValueError:
-        return None
-    if _reads_sentence(morphemes):
-        return None
-    records: list[CorrectionRecord] = []
-    shape = (0, form, lemma, xpos, upos) + _SHAPE_ONLY
-    token = correct_token(
-        _new_tuple(Token, shape), morphemes, _NO_SENTENCE, None, conjunctive_adverbs, records, ""
+    tokens = tuple(
+        correct_token(token, sentence, aux_by_token.get(token.id), pack, records, sid)
+        for token in sentence.tokens
     )
-    stubs = tuple([record[2:] for record in records]) if records else ()
-    return token.lemma, token.xpos, token.upos, stubs
+    return Sentence(sentence.comments, tokens, sentence.extras), records
 
 
 def apply_records(sentence: Sentence, records: Iterable[CorrectionRecord]) -> Sentence:

@@ -39,9 +39,7 @@ from .conllu import (
     FeatureBag,
     Morpheme,
     Sentence,
-    Token,
     UdmorphError,
-    _new_tuple,
 )
 from .romanize import romanize
 
@@ -498,5 +496,5 @@ def enrich_sentence(sentence: Sentence, pack: RulePack) -> Sentence:
         if token.form in verdict.functional:
             misc = _misc_with_flag(token.misc, "Functional", "Yes")
             if misc != token.misc:
-                tokens[i] = _new_tuple(Token, (*token[:9], misc))
+                tokens[i] = token.with_misc(misc)
     return Sentence(enriched.comments, tuple(tokens), enriched.extras)

@@ -737,3 +737,30 @@ def test_a_replaced_output_gets_the_mode_of_a_new_file(tmp_path):
     os.umask(umask)
     assert main(["enrich", src, "-o", str(out)]) == 0
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_a_temporary_file_left_by_a_killed_run_is_stepped_over(tmp_path):
+    src = _write(tmp_path / "in.conllu", BLANKED)
+    stale = tmp_path / f".out.conllu.{os.getpid()}.0.tmp"
+    stale.write_bytes(b"left by a killed run\n")
+    assert main(["enrich", src, "-o", str(tmp_path / "other.conllu")]) == 0
+    assert main(["enrich", src, "-o", str(tmp_path / "out.conllu")]) == 0
+    assert (tmp_path / "out.conllu").read_bytes() == (tmp_path / "other.conllu").read_bytes()
+    assert stale.read_bytes() == b"left by a killed run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["in.conllu", "other.conllu", "out.conllu", stale.name]
+    )
+
+
+def test_correct_refuses_one_file_for_both_output_and_log(tmp_path, monkeypatch, capsys):
+    src = _write(tmp_path / "in.conllu", FIG1_CONLLU)
+    same = tmp_path / "same.tsv"
+    same.write_bytes(b"old\n")
+    monkeypatch.chdir(tmp_path)
+    for output in (str(same), "same.tsv", "./same.tsv"):
+        assert main(["correct", src, "-o", output, "--records", str(same)]) == 2
+        assert capsys.readouterr().err == f"udmorph correct: -o and --records name the same file: {output}\n"
+    assert same.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.conllu", "same.tsv"]
+    # a file written in place, such as /dev/null, may take both
+    assert main(["correct", src, "-o", os.devnull, "--records", os.devnull]) == 0

@@ -534,3 +534,17 @@ def test_a_line_with_bad_feats_and_a_bad_head_reports_feats_first(cells, message
     text = f"1\t학교\t학교\tNOUN\tNNG\t{cells}\troot\t_\t_\n\n"
     with pytest.raises(ConlluError, match=rf"^line 1: {re.escape(message)}$"):
         parse_conllu(text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=SEJONG_TREEBANK)
+def test_a_token_copied_with_new_feats_or_misc_is_the_one_replace_gives(text):
+    bag = FeatureBag.from_conllu("Case=Nom|Number=Sing")
+    for sentence in parse_conllu(text):
+        for token in sentence.tokens:
+            for copied, replaced in (
+                (token.with_feats(bag), token._replace(feats=bag)),
+                (token.with_misc("Functional=Yes"), token._replace(misc="Functional=Yes")),
+            ):
+                assert type(copied) is Token
+                assert copied == replaced and copied._asdict() == replaced._asdict()

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_FIXTURES, SEJONG_TREEBANK, make_sentence
-from udmorph import corrections
-from udmorph.conllu import SEJONG_TAGS, Sentence, Token, parse_conllu, serialize_conllu, validate
+from conftest import SEJONG_TREEBANK, make_sentence
+from udmorph.conllu import SEJONG_TAGS, Token, parse_conllu, serialize_conllu, validate
 from udmorph.corrections import (
     AuxAnnotation,
     CorrectionError,
@@ -16,7 +15,6 @@ from udmorph.corrections import (
     aggregate_stats,
     apply_records,
     correct_sentence,
-    correct_token,
     format_stats,
     read_aux_sidecar,
     read_records,
@@ -408,59 +406,6 @@ def test_what_lenient_parsing_accepts_passes_enrich_and_correct(pack, text, data
         (reparsed,) = parse_conllu(serialize_conllu([corrected]), lenient=True)
         assert reparsed.tokens == corrected.tokens
         to_it_record(corrected)
-
-
-def _by_rule_body(sentence, aux, pack):
-    """`correct_sentence` without the shape memo: the rule body on every token."""
-    sid = sentence.sent_id or ""
-    aux_by_token = {entry.token_id: entry for entry in aux if not sid or entry.sent_id == sid}
-    records = []
-    tokens = tuple(
-        correct_token(
-            token, token.morphemes, sentence, aux_by_token.get(token.id), pack.conjunctive_adverbs,
-            records, sid,
-        )
-        for token in sentence.tokens
-    )
-    return Sentence(sentence.comments, tokens, sentence.extras), records
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_correct_is_the_same_with_the_shape_memo_cleared_warm_or_bypassed(pack, data):
-    lenient = data.draw(st.booleans())
-    text = data.draw(_lenient_treebank() if lenient else SEJONG_TREEBANK)
-    sentences = parse_conllu(text, lenient=lenient)
-    aux = [data.draw(_aux_entries(sentence)) for sentence in sentences]
-    corrections._aux_free_correction.cache_clear()
-    cold = [correct_sentence(sentence, entries, pack) for sentence, entries in zip(sentences, aux)]
-    warm = [correct_sentence(sentence, entries, pack) for sentence, entries in zip(sentences, aux)]
-    expected = [_by_rule_body(sentence, entries, pack) for sentence, entries in zip(sentences, aux)]
-    assert cold == warm == expected
-
-
-def test_correct_runs_the_rule_body_once_per_aux_free_word_shape(pack, monkeypatch):
-    sentences = [make_sentence(words, sent_id=label) for label, words, *_ in FAMILY_FIXTURES]
-    expected = [_by_rule_body(sentence, [], pack) for sentence in sentences]
-    # rule 4 reads the sentence of a word ending in JKS 이/가: the full path
-    full = [t for s in sentences for t in s.tokens if t.xpos.endswith("JKS") and t.lemma[-1] in "이가"]
-    shapes = {t[1:5] for s in sentences for t in s.tokens if t not in full}
-    assert full and len(shapes) < sum(len(s.tokens) for s in sentences) - len(full)
-    calls = []
-
-    def counting_correct_token(token, *args):
-        calls.append(token)
-        return correct_token(token, *args)
-
-    monkeypatch.setattr(corrections, "correct_token", counting_correct_token)
-    corrections._aux_free_correction.cache_clear()
-    for memo_warm in (False, True):
-        calls.clear()
-        assert [correct_sentence(sentence, [], pack) for sentence in sentences] == expected
-        assert [t for t in calls if t.id != 0] == full
-        by_shape = [t[1:5] for t in calls if t.id == 0]
-        assert len(by_shape) == len(set(by_shape))  # each shape once
-        assert set(by_shape) == (set() if memo_warm else shapes)
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_FIXTURES, HANGUL, SEGMENT_CHARS, SEJONG_TREEBANK, make_sentence
-from udmorph import conllu, corrections
+from udmorph import conllu
 from udmorph.conllu import MEMO_SIZE, FeatureBag, Token, parse_conllu, serialize_conllu, validate
 from udmorph.corrections import correct_sentence
 from udmorph.rules import (
@@ -342,7 +342,6 @@ def test_enrich_splits_each_word_shapes_morphemes_once(pack, monkeypatch):
 
     calls.clear()
     conllu._morphemes.cache_clear()
-    corrections._aux_free_correction.cache_clear()
     corrected = [correct_sentence(sentence, [], fresh)[0] for sentence in enriched]
     assert len(_shapes(corrected) - _shapes(enriched)) == 3
     # each shape read is split once: the input's, and those a correction

@@ -739,16 +739,22 @@ def test_a_replaced_output_gets_the_mode_of_a_new_file(tmp_path):
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
-def test_a_temporary_file_left_by_a_killed_run_is_stepped_over(tmp_path):
+def test_a_temporary_file_left_by_a_killed_run_is_stepped_over(tmp_path, monkeypatch):
     src = _write(tmp_path / "in.conllu", BLANKED)
-    stale = tmp_path / f".out.conllu.{os.getpid()}.0.tmp"
-    stale.write_bytes(b"left by a killed run\n")
+    bad = _write(tmp_path / "bad.conllu", BLANKED + "1\tmalformed\n")
+    out = tmp_path / "out.conllu"
+    with monkeypatch.context() as killed:  # a run that dies before it cleans up
+        killed.setattr(os, "unlink", lambda path: None)
+        assert main(["enrich", bad, "-o", str(out)]) == 2
+    (stale,) = [p for p in tmp_path.iterdir() if p.name.startswith(".out.conllu.")]
+    left = stale.read_bytes()
+    # a later run of the same process id writes its output all the same
+    assert main(["enrich", src, "-o", str(out)]) == 0
     assert main(["enrich", src, "-o", str(tmp_path / "other.conllu")]) == 0
-    assert main(["enrich", src, "-o", str(tmp_path / "out.conllu")]) == 0
-    assert (tmp_path / "out.conllu").read_bytes() == (tmp_path / "other.conllu").read_bytes()
-    assert stale.read_bytes() == b"left by a killed run\n"
+    assert out.read_bytes() == (tmp_path / "other.conllu").read_bytes()
+    assert stale.read_bytes() == left
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["in.conllu", "other.conllu", "out.conllu", stale.name]
+        ["bad.conllu", "in.conllu", "other.conllu", "out.conllu", stale.name]
     )
 
 

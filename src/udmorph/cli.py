@@ -224,13 +224,11 @@ def _cmd_correct(args: argparse.Namespace) -> int:
         if log_target is not None and log_target == _replaced_target(args.output):
             raise conllu.UdmorphError(f"-o and --records name the same file: {args.output}")
     pack = _load_pack(args.rules)
-    aux_entries: list[corrections.AuxAnnotation] = []
+    aux_by_sentence: dict[str, list[corrections.AuxAnnotation]] = {}
     if args.aux is not None:
         with _open_or_stdio(args.aux) as stream:
-            aux_entries = corrections.read_aux_sidecar(stream)
-    aux_by_sentence: dict[str, list[corrections.AuxAnnotation]] = {}
-    for entry in aux_entries:
-        aux_by_sentence.setdefault(entry.sent_id, []).append(entry)
+            for entry in corrections.read_aux_sidecar(stream):
+                aux_by_sentence.setdefault(entry.sent_id, []).append(entry)
 
     # the log is opened first, so an unwritable one fails before any output
     log_context = nullcontext() if args.records is None else _replacing(args.records)
@@ -247,10 +245,10 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             if log is not None:
                 all_records.extend(records)
             conllu.write_conllu([corrected], sink)
-        unmatched = [entry for entry in aux_entries if entry.sent_id not in matched]
+        unmatched = [sid for sid in aux_by_sentence if sid not in matched]
         if unmatched:
-            first = unmatched[0].sent_id
-            conllu.warn(f"{len(unmatched)} aux entries match no sentence (first sent_id {first!r})")
+            count = sum(len(aux_by_sentence[sid]) for sid in unmatched)
+            conllu.warn(f"{count} aux entries match no sentence (first sent_id {unmatched[0]!r})")
         if log is not None:
             corrections.write_records(all_records, total_tokens, log)
     return 0

@@ -10,6 +10,9 @@ shares the result among every token of that shape.  Every memo in the
 package is an LRU cache bounded by `MEMO_SIZE`.
 Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
 and excluded from the token list and from all structural checks.
+`write_conllu` renders a sentence whole and writes it with one `write`.
+Every reader in the package but the predictions reader takes a `str` as
+`_text_stream` gives it: with universal newlines, as the CLI reads a file.
 """
 
 from __future__ import annotations
@@ -141,17 +144,11 @@ class FeatureBag:
     def items(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         return self._entries
 
-    def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self._entries)
-
     def get(self, key: str) -> tuple[str, ...]:
         for k, values in self._entries:
             if k == key:
                 return values
         return ()
-
-    def __contains__(self, key: str) -> bool:
-        return any(k == key for k, _ in self._entries)
 
     def __bool__(self) -> bool:
         return bool(self._entries)
@@ -358,6 +355,12 @@ def _token_cells(
     return lemma, "+".join(tags), "" if upos == "_" else upos, _parse_feats(feats), tuple(unknown)
 
 
+def _text_stream(source: str | TextIO) -> TextIO:
+    """A stream as given, or a `str` read with universal newlines, as the
+    CLI reads a file."""
+    return io.StringIO(source, newline=None) if isinstance(source, str) else source
+
+
 def _id_error(raw_id: str, expected: int, lineno: int) -> ConlluError:
     """The error for a word id that is not the next one of its sentence."""
     try:
@@ -374,7 +377,7 @@ def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[S
     which keep at most `MEMO_SIZE` entries each.  Under `lenient`,
     each unknown XPOS tag is warned about once, at the end.  A `str` is read
     with universal newlines, as the CLI reads a file."""
-    stream = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    stream = _text_stream(source)
     comments: list[str] = []
     tokens: list[Token] = []
     extras: list[tuple[int, str]] = []
@@ -470,21 +473,6 @@ def token_columns(token: Token) -> tuple[str, ...]:
     )
 
 
-def token_to_line(token: Token) -> str:
-    return "\t".join(token_columns(token))
-
-
-def sentence_to_lines(sentence: Sentence) -> Iterator[str]:
-    yield from sentence.comments
-    extras = dict()
-    for index, raw in sentence.extras:
-        extras.setdefault(index, []).append(raw)
-    for i, token in enumerate(sentence.tokens):
-        yield from extras.get(i, ())
-        yield token_to_line(token)
-    yield from extras.get(len(sentence.tokens), ())
-
-
 def serialize_conllu(sentences: Iterable[Sentence]) -> str:
     out = io.StringIO()
     write_conllu(sentences, out)
@@ -492,10 +480,21 @@ def serialize_conllu(sentences: Iterable[Sentence]) -> str:
 
 
 def write_conllu(sentences: Iterable[Sentence], sink: TextIO) -> None:
+    """Write each sentence with one `write`: its comments, then each extra
+    line before the token it precedes, then the token's cells, then the
+    blank line that ends it.  An extra at `len(tokens)` follows the last
+    token."""
     for sentence in sentences:
-        for line in sentence_to_lines(sentence):
-            sink.write(line + "\n")
-        sink.write("\n")
+        lines = list(sentence.comments)
+        before: dict[int, list[str]] = {}
+        for index, raw in sentence.extras:
+            before.setdefault(index, []).append(raw)
+        for i, token in enumerate(sentence.tokens):
+            lines.extend(before.get(i, ()))
+            lines.append("\t".join(token_columns(token)))
+        lines.extend(before.get(len(sentence.tokens), ()))
+        lines.append("\n")
+        sink.write("\n".join(lines))
 
 
 def _check_token(token: Token, report) -> None:

@@ -10,7 +10,6 @@ the original sentence reproduces the corrected sentence exactly.
 
 from __future__ import annotations
 
-import io
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .conllu import (
@@ -21,6 +20,7 @@ from .conllu import (
     Token,
     UdmorphError,
     _split_plus,
+    _text_stream,
     canonical_upos,
 )
 
@@ -184,7 +184,7 @@ def correct_sentence(
     aux_by_token: dict[int, AuxAnnotation] = {}
     valid_ids = {t.id for t in sentence.tokens}
     for entry in aux:
-        if sid and entry.sent_id != sid:
+        if entry.sent_id != sid:
             continue
         if entry.token_id not in valid_ids:
             raise CorrectionError(
@@ -208,7 +208,7 @@ def apply_records(sentence: Sentence, records: Iterable[CorrectionRecord]) -> Se
     tokens = list(sentence.tokens)
     sid = sentence.sent_id or ""
     for rec in records:
-        if sid and rec.sent_id != sid:
+        if rec.sent_id != sid:
             continue
         attribute = _RECORD_ATTRIBUTES.get(rec.field)
         if attribute is None:
@@ -281,7 +281,7 @@ def write_records(
 def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | None]:
     """The records and the `# total_tokens` header of a log; a `str` is read
     with universal newlines, as the CLI reads a file."""
-    stream = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    stream = _text_stream(source)
     records: list[CorrectionRecord] = []
     total = None
     for lineno, raw in enumerate(stream, start=1):
@@ -315,7 +315,7 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
     """Sidecar format: sent_id, token_id, ner_label, ext_xpos ('_' = absent);
     at most one entry per token.  A `str` is read with universal newlines, as
     the CLI reads a file."""
-    stream = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    stream = _text_stream(source)
     entries: list[AuxAnnotation] = []
     first_lines: dict[tuple[str, int], int] = {}
     for lineno, raw in enumerate(stream, start=1):

@@ -72,21 +72,19 @@ def score(
         if sentence is _END or rows is _END:
             continue
         gold_ids = {t.id for t in sentence.tokens}
-        claims: dict[int, set[tuple[int | None, str | None]]] = {}
-        copies: dict[int, int] = {}
+        claims: dict[int, list[tuple[int | None, str | None]]] = {}
         for row in rows:
             if row.id in gold_ids:
-                claims.setdefault(row.id, set()).add((row.head, row.deprel))
-                copies[row.id] = copies.get(row.id, 0) + 1
+                claims.setdefault(row.id, []).append((row.head, row.deprel))
             else:
                 unmatched += 1
         aligned: dict[int, tuple[int | None, str | None]] = {}
         for row_id, payloads in claims.items():
-            if len(payloads) == 1:
-                aligned[row_id] = next(iter(payloads))
-                unmatched += copies[row_id] - 1
+            if payloads.count(payloads[0]) == len(payloads):
+                aligned[row_id] = payloads[0]
+                unmatched += len(payloads) - 1
             else:
-                unmatched += copies[row_id]
+                unmatched += len(payloads)
         for token in sentence.tokens:
             if exclude_punct and token.upos == "PUNCT":
                 continue

@@ -19,17 +19,18 @@ Everything but the lookahead window depends on a word's morphemes alone, so
 each pack resolves them once into a `Verdict` (pass-1 winners and their bag,
 the lookahead rules its word pattern matches, the ending transcription, the
 functional-word list its class selects, its first morpheme for a
-neighbour's window).  Verdicts, and bags shared per set of emitted values,
+neighbour's window).  `assign_features` looks up each word's verdict and
+resolves its lookahead window against the next words' verdicts, in one loop
+over the sentence.  Verdicts, and bags shared per set of emitted values,
 are kept in per-pack LRU caches of at most `MEMO_SIZE` entries.
 """
 
 from __future__ import annotations
 
-import io
 import pkgutil
 import re
 from functools import lru_cache
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, TextIO
 
 from .conllu import (
     _FEAT_VALUE_RE,
@@ -40,6 +41,7 @@ from .conllu import (
     Morpheme,
     Sentence,
     UdmorphError,
+    _text_stream,
 )
 from .romanize import romanize
 
@@ -347,8 +349,9 @@ def _compile_voice_rules(voice_lexicon: dict[str, str]) -> list[Rule]:
 
 
 def load_rule_pack(source: str | TextIO) -> RulePack:
-    """Parse and statically check a rule-pack file."""
-    stream = io.StringIO(source) if isinstance(source, str) else source
+    """Parse and statically check a rule-pack file; a `str` is read with
+    universal newlines, as the CLI reads a file."""
+    stream = _text_stream(source)
     language = ""
     rules: list[Rule] = []
     functional: dict[str, set[str]] = {}
@@ -430,32 +433,26 @@ def _context_matches(rule: Rule, window: list[Morpheme]) -> bool:
     )
 
 
-def assign_token_features(verdicts: Sequence[Verdict], index: int, pack: RulePack) -> FeatureBag:
-    """The bag of word `index` given the verdicts of its sentence's words:
-    the word-internal bag, extended by the lookahead rules whose window
-    matches (per feature key the first in pack order wins)."""
-    verdict = verdicts[index]
-    if not verdict.lookahead:
-        return verdict.bag
-    window = [v.first for v in verdicts[index + 1 : index + 3] if v.first is not None]
-    context: dict[str, Rule] = {}
-    for rule in verdict.lookahead:
-        if _context_matches(rule, window):
-            for key, _ in rule.emits:
-                context.setdefault(key, rule)
-    if not context:
-        return verdict.bag
-    return pack._winners_bag(_emitted(verdict.winners + tuple(context.items())))
-
-
 def assign_features(sentence: Sentence, pack: RulePack) -> Sentence:
-    """Replace every token's feature bag with the rules' verdict."""
+    """Replace every token's feature bag with the rules' verdict: the
+    word-internal bag, extended by the lookahead rules whose window matches
+    (per feature key the first in pack order wins)."""
     verdicts = [pack.verdict(token.morphemes) for token in sentence.tokens]
-    tokens = tuple(
-        token.with_feats(assign_token_features(verdicts, i, pack))
-        for i, token in enumerate(sentence.tokens)
-    )
-    return Sentence(sentence.comments, tokens, sentence.extras)
+    tokens = []
+    for i, token in enumerate(sentence.tokens):
+        verdict = verdicts[i]
+        bag = verdict.bag
+        if verdict.lookahead:
+            window = [v.first for v in verdicts[i + 1 : i + 3] if v.first is not None]
+            context: dict[str, Rule] = {}
+            for rule in verdict.lookahead:
+                if _context_matches(rule, window):
+                    for key, _ in rule.emits:
+                        context.setdefault(key, rule)
+            if context:
+                bag = pack._winners_bag(_emitted(verdict.winners + tuple(context.items())))
+        tokens.append(token.with_feats(bag))
+    return Sentence(sentence.comments, tuple(tokens), sentence.extras)
 
 
 def _ending_transcription(morphemes: tuple[Morpheme, ...]) -> tuple[str, str] | None:

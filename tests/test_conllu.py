@@ -270,6 +270,84 @@ def test_multiword_ranges_pass_through():
     assert serialize_conllu(sentences) == text
 
 
+def _line_by_line(sentences):
+    """The writer `write_conllu` replaced: one line at a time, each extra
+    before the token at its index, an extra at `len(tokens)` last."""
+    out = []
+    for sentence in sentences:
+        out.extend(line + "\n" for line in sentence.comments)
+        extras = {}
+        for index, raw in sentence.extras:
+            extras.setdefault(index, []).append(raw)
+        for i, token in enumerate(sentence.tokens):
+            out.extend(raw + "\n" for raw in extras.get(i, ()))
+            out.append("\t".join(conllu.token_columns(token)) + "\n")
+        out.extend(raw + "\n" for raw in extras.get(len(sentence.tokens), ()))
+        out.append("\n")
+    return "".join(out)
+
+
+_CELL_TEXT = st.text(st.sampled_from("학교a_+"), min_size=1, max_size=3)
+_TOKENS = st.builds(
+    Token,
+    id=st.integers(1, 9),
+    form=_CELL_TEXT,
+    lemma=st.one_of(st.just(""), _CELL_TEXT),
+    xpos=st.sampled_from(["", "NNG", "NNG+JKS", "VV+EF"]),
+    upos=st.sampled_from(["", "NOUN", "VERB"]),
+    feats=st.sampled_from([FeatureBag(), FeatureBag({"Case": ["Nom"], "Number": ["Plur", "Sing"]})]),
+    head=st.one_of(st.none(), st.integers(0, 9)),
+    deprel=st.sampled_from(["", "root", "nsubj"]),
+    deps=st.sampled_from(["_", "2:nsubj"]),
+    misc=st.sampled_from(["_", "SpaceAfter=No"]),
+)
+
+
+@st.composite
+def _sentences(draw):
+    tokens = draw(st.lists(_TOKENS, max_size=5))
+    # extras at any index 0..len(tokens), in any order
+    extras = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(tokens)), st.sampled_from(["1-2\t학교\t_\t_\t_\t_\t_\t_\t_\t_", "1.1\ta", "x"])),
+            max_size=4,
+        )
+    )
+    comments = draw(st.lists(st.sampled_from(["# sent_id = s1", "# text = 학교", "#"]), max_size=3))
+    return Sentence(tuple(comments), tuple(tokens), tuple(extras))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences=st.lists(st.one_of(st.just(Sentence()), _sentences()), max_size=4))
+def test_a_sentence_is_written_as_the_line_by_line_writer_wrote_it(sentences):
+    assert serialize_conllu(sentences) == _line_by_line(sentences)
+
+
+def test_each_sentence_is_written_in_one_call():
+    class Sink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    first = Token(1, "학교", "학교", "NNG", "NOUN", head=0, deprel="root")
+    second = Token(2, "가", "가", "JKS", "ADP", head=1, deprel="case")
+    extras = ((2, "1.1\tb"), (0, "1-2\tab"), (0, "0.1\ta"))
+    sink = Sink()
+    conllu.write_conllu([Sentence(), Sentence(("# sent_id = a",), (first, second), extras)], sink)
+    assert sink.writes == [
+        "\n",
+        "# sent_id = a\n"
+        "1-2\tab\n"
+        "0.1\ta\n"
+        "1\t학교\t학교\tNOUN\tNNG\t_\t0\troot\t_\t_\n"
+        "2\t가\t가\tADP\tJKS\t_\t1\tcase\t_\t_\n"
+        "1.1\tb\n"
+        "\n",
+    ]
+
+
 def test_feats_canonical_ordering():
     bag = FeatureBag({"Mood": ["Ind"], "Case": ["Nom"]})
     assert bag.to_conllu() == "Case=Nom|Mood=Ind"

@@ -330,6 +330,26 @@ def test_crlf_sidecar_and_log_strings_read_as_lf_strings_do():
     assert read_records(log.replace("\n", "\r\n"))[0][0].rule_id == "canonical-upos"
 
 
+def test_a_sentence_without_a_sent_id_takes_no_other_sentences_aux_entries(pack):
+    words = [("서울", "서울", "NNG", "NOUN")]
+    entry = AuxAnnotation("s9", 1, "LOC")
+    for sent_id in (None, "s1"):
+        sentence = make_sentence(words, sent_id=sent_id)
+        corrected, records = correct_sentence(sentence, [entry], pack)
+        assert (corrected, records) == (sentence, [])
+
+
+def test_a_sentence_without_a_sent_id_replays_no_other_sentences_records():
+    words = [("서울", "서울", "NNG", "NOUN")]
+    record = CorrectionRecord("s9", 1, "UPOS", "NOUN", "PROPN", "ner-propn")
+    for sent_id in (None, "s1"):
+        sentence = make_sentence(words, sent_id=sent_id)
+        assert apply_records(sentence, [record]) == sentence
+    unnamed = make_sentence(words)
+    replayed = apply_records(unnamed, [record._replace(sent_id="")])
+    assert replayed.tokens[0].upos == "PROPN"
+
+
 def _aux_entries(sentence):
     tags = st.lists(st.sampled_from(sorted(SEJONG_TAGS)), min_size=1, max_size=3).map(tuple)
     entry = st.builds(

@@ -61,6 +61,14 @@ def test_a_language_without_a_packaged_pack_is_an_os_error():
         load_default_pack("xx")
 
 
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_a_pack_string_with_cr_or_crlf_newlines_loads_as_the_lf_string_does(newline):
+    import pkgutil
+
+    text = pkgutil.get_data("udmorph", "data/ko.rules").decode("utf-8")
+    assert load_rule_pack(text.replace("\n", newline)) == load_rule_pack(text)
+
+
 def test_empty_pack_is_an_error():
     with pytest.raises(RulePackError, match="no rules"):
         load_rule_pack(PACK_HEADER + "\nlanguage ko\n")

@@ -1,12 +1,13 @@
 """CoNLL-U parsing, serialization and validation.
 
 The data model keeps the morpheme-segmented LEMMA and XPOS columns as raw
-`+`-joined strings (the serialization authority).  Parsing resolves each
-token line's raw (LEMMA, UPOS, XPOS, FEATS) cells once, in `_token_cells`:
-it checks the tags and the alignment, shares one FEATS bag (`_parse_feats`)
-and builds no morphemes.  A token's aligned (surface, tag) morpheme pairs
-come from `_morphemes`, which splits each (LEMMA, XPOS) shape once and
-shares the result among every token of that shape.  Every memo in the
+`+`-joined strings (the serialization authority).  Parsing splits each
+token line once and resolves its raw LEMMA, UPOS, XPOS and FEATS cells, as
+one tab-joined string, once, in `_token_cells`: it checks the tags and the
+alignment, shares one FEATS bag (`_parse_feats`) and builds no morphemes.
+A token's aligned (surface, tag) morpheme pairs come from `_morphemes`,
+which splits each (LEMMA, XPOS) shape once and shares the result among
+every token of that shape.  Every memo in the
 package is an LRU cache bounded by `MEMO_SIZE`.
 Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
 and excluded from the token list and from all structural checks.
@@ -28,7 +29,7 @@ COLUMN_COUNT = 10
 # Entries each memo keeps, least recently used dropped first: a fixed bound,
 # so a stream of ever new values cannot grow memory.  The memos are
 # `conllu._parse_feats` (FEATS cells), `conllu._token_cells` (a token line's
-# raw LEMMA, UPOS, XPOS and FEATS cells), `conllu._morphemes` (split word
+# raw LEMMA, UPOS, XPOS and FEATS cells, joined), `conllu._morphemes` (split word
 # shapes), and a rule pack's `verdict` and `_winners_bag`.
 MEMO_SIZE = 4096
 
@@ -121,10 +122,11 @@ class FeatureBag:
     Values are stored deduplicated and canonically sorted, so serialization
     is a fixed point: keys in case-insensitive alphabetical order joined by
     `|`, multiple values per key joined by `,`, the empty bag as `_`; the
-    text is rendered once per bag.
+    text is rendered once per bag, and so is the verdict on its FEATS syntax
+    that `validate` reads.
     """
 
-    __slots__ = ("_entries", "_text")
+    __slots__ = ("_entries", "_text", "_verdict")
 
     def __init__(self, entries: dict[str, Iterable[str]] | None = None):
         items = []
@@ -134,6 +136,7 @@ class FeatureBag:
                 items.append((key, values))
         object.__setattr__(self, "_entries", tuple(items))
         object.__setattr__(self, "_text", None)
+        object.__setattr__(self, "_verdict", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FeatureBag is immutable")
@@ -168,6 +171,18 @@ class FeatureBag:
             text = "|".join(f"{k}={','.join(v)}" for k, v in self._entries) or "_"
             object.__setattr__(self, "_text", text)
         return text
+
+    def _well_formed(self) -> bool:
+        """Whether every key and value is valid FEATS syntax, as a parsed
+        bag's always are; a bag built from a dict may hold anything."""
+        verdict = self._verdict
+        if verdict is None:
+            verdict = all(
+                _FEAT_KEY_RE.match(key) and all(_FEAT_VALUE_RE.match(v) for v in values)
+                for key, values in self._entries
+            )
+            object.__setattr__(self, "_verdict", verdict)
+        return verdict
 
     @classmethod
     def from_conllu(cls, text: str, line: int | None = None) -> "FeatureBag":
@@ -244,7 +259,8 @@ class Token(NamedTuple):
     A record like every other: copied with changes by `token._replace(...)`,
     and equal to the plain tuple of its ten values.  Parse, `with_feats` and
     `with_misc` build it with `_new_tuple(Token, values)`, which gives the
-    same record; they are the only code that knows the field positions."""
+    same record; they and `validate`, which unpacks it, are the only code
+    that knows the field positions."""
 
     id: int
     form: str
@@ -329,15 +345,18 @@ def canonical_upos(morphemes: Iterable[Morpheme]) -> str | None:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _token_cells(
-    lemma: str, upos: str, xpos: str, feats: str, lenient: bool
-) -> tuple[str, str, str, FeatureBag, tuple[str, ...]]:
-    """The stored LEMMA, XPOS and UPOS of a token line's raw (LEMMA, UPOS,
-    XPOS, FEATS) cells, its shared FEATS bag, and the unknown XPOS codes in
-    order, each mapped to `NA` under `lenient`.  Checks the tags, then the
+def _token_cells(cells: str, lenient: bool) -> tuple[str, str, str, FeatureBag, tuple[str, ...]]:
+    """The stored LEMMA, XPOS and UPOS of a token line's raw LEMMA, UPOS,
+    XPOS and FEATS cells, joined by tabs as the line holds them, its shared
+    FEATS bag, and the unknown XPOS codes in order, each mapped to `NA`
+    under `lenient`.  Checks the column count, then the tags, then the
     alignment, then FEATS, once per distinct cells, and builds no morphemes;
     a bad cell raises `ConlluError` without a line number and is not
     remembered."""
+    try:
+        lemma, upos, xpos, feats = cells.split("\t")
+    except ValueError:  # the line around these cells has not ten columns
+        raise _column_error(cells.count("\t") + 7) from None
     lemma = "" if lemma == "_" else lemma
     xpos = "" if xpos == "_" else xpos
     tags = []
@@ -353,6 +372,10 @@ def _token_cells(
     if problem:
         raise ConlluError(problem)
     return lemma, "+".join(tags), "" if upos == "_" else upos, _parse_feats(feats), tuple(unknown)
+
+
+def _column_error(columns: int, line: int | None = None) -> ConlluError:
+    return ConlluError(f"expected {COLUMN_COUNT} tab-separated columns, got {columns}", line)
 
 
 def _text_stream(source: str | TextIO) -> TextIO:
@@ -383,6 +406,8 @@ def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[S
     extras: list[tuple[int, str]] = []
     unknown_tags: dict[str, list[int]] = {}  # tag -> [first line, count]
     id_texts = ["0"]  # id_texts[n] == str(n), grown to the longest sentence
+    # HEAD cell -> value: `_`, `0` and each text of id_texts
+    head_values: dict[str, int | None] = {"_": None, "0": 0}
 
     def flush(lineno: int) -> Sentence:
         if not tokens:
@@ -405,16 +430,21 @@ def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[S
                 raise ConlluError("comment line inside a sentence", lineno)
             comments.append(line)
             continue
-        columns = line.split("\t")
-        if len(columns) != COLUMN_COUNT:
-            raise ConlluError(
-                f"expected {COLUMN_COUNT} tab-separated columns, got {len(columns)}", lineno
-            )
-        raw_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
+        # id, FORM, the LEMMA/UPOS/XPOS/FEATS cells still joined, and the
+        # last four columns; the column count is checked before anything
+        # else, here or, for a word line, by `_token_cells`
+        try:
+            raw_id, form, rest = line.split("\t", 2)
+            cells, head, deprel, deps, misc = rest.rsplit("\t", 4)
+        except ValueError:
+            raise _column_error(line.count("\t") + 1, lineno) from None
         token_id = len(tokens) + 1
         if token_id == len(id_texts):
             id_texts.append(str(token_id))
+            head_values[id_texts[token_id]] = token_id
         if raw_id != id_texts[token_id]:
+            if cells.count("\t") != 3:
+                raise _column_error(cells.count("\t") + 7, lineno)
             if _WORD_ID_RE.match(raw_id):
                 raise _id_error(raw_id, token_id, lineno)
             if not (_RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id)):
@@ -423,21 +453,21 @@ def iter_sentences(source: str | TextIO, *, lenient: bool = False) -> Iterator[S
             continue
 
         try:
-            lemma, xpos, upos, bag, unknown = _token_cells(lemma, upos, xpos, feats, lenient)
+            lemma, xpos, upos, bag, unknown = _token_cells(cells, lenient)
         except ConlluError as error:
             raise ConlluError(str(error), lineno) from None
         for code in unknown:
             unknown_tags.setdefault(code, [lineno, 0])[1] += 1
 
-        if head == "_":
-            head_value: int | None = None
-        elif head == "0" or _WORD_ID_RE.match(head):
+        try:
+            head_value = head_values[head]
+        except KeyError:  # a head past the longest sentence yet, or a bad one
+            if not _WORD_ID_RE.match(head):
+                raise ConlluError(f"invalid HEAD value {head!r}", lineno) from None
             try:
                 head_value = int(head)
             except ValueError:  # more digits than int() converts
                 raise ConlluError(f"invalid HEAD value: {len(head)} digits", lineno) from None
-        else:
-            raise ConlluError(f"invalid HEAD value {head!r}", lineno)
 
         tokens.append(
             _new_tuple(
@@ -483,16 +513,20 @@ def write_conllu(sentences: Iterable[Sentence], sink: TextIO) -> None:
     """Write each sentence with one `write`: its comments, then each extra
     line before the token it precedes, then the token's cells, then the
     blank line that ends it.  An extra at `len(tokens)` follows the last
-    token."""
+    token; one at an index outside 0..len(tokens) raises `ConlluError`
+    before its sentence is written."""
     for sentence in sentences:
         lines = list(sentence.comments)
+        n = len(sentence.tokens)
         before: dict[int, list[str]] = {}
         for index, raw in sentence.extras:
+            if not 0 <= index <= n:
+                raise ConlluError(f"extra line at index {index} outside 0..{n}: {raw!r}")
             before.setdefault(index, []).append(raw)
         for i, token in enumerate(sentence.tokens):
             lines.extend(before.get(i, ()))
             lines.append("\t".join(token_columns(token)))
-        lines.extend(before.get(len(sentence.tokens), ()))
+        lines.extend(before.get(n, ()))
         lines.append("\n")
         sink.write("\n".join(lines))
 
@@ -554,7 +588,9 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
 
     A sentence without a `sent_id`, or whose `sent_id` holds a tab (which
     no tab-separated file can carry), is named by its position, counted from
-    `start`.  Linear in each sentence's length."""
+    `start`.  Linear in each sentence's length.  A token's cells go through
+    `_check_token` only when a quick check of them fails, and a bag's FEATS
+    syntax is judged once per bag."""
     diagnostics: list[Diagnostic] = []
     for index, sentence in enumerate(sentences, start=start):
         sent_id = sentence.sent_id or ""
@@ -566,33 +602,63 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
         if "\t" in sent_id:
             report(None, "sent-id", f"sent_id {sent_id!r} holds a tab")
 
-        n = len(sentence.tokens)
-        for position, token in enumerate(sentence.tokens, start=1):
-            if token.id != position:
-                report(token.id, "id-sequence", f"expected id {position}, got {token.id}")
-            _check_token(token, report)
+        tokens = sentence.tokens
+        n = len(tokens)
+        for extra_index, _ in sentence.extras:
+            if not 0 <= extra_index <= n:
+                report(None, "extra-position", f"extra line at index {extra_index} outside 0..{n}")
 
-        roots = [t for t in sentence.tokens if t.head == 0]
+        heads: dict[int, int | None] = {}
+        roots: list[int] = []
+        head_problems: list[tuple[int, str, str]] = []  # reported after the root count
+        for position, token in enumerate(tokens, start=1):
+            token_id, _, lemma, xpos, upos, feats, head, deprel, _, _ = token
+            if token_id != position:
+                report(token_id, "id-sequence", f"expected id {position}, got {token_id}")
+            segments = lemma.split("+")
+            tags = xpos.split("+")
+            if not (
+                len(segments) == len(tags)
+                and SEJONG_TAGS.issuperset(tags)
+                and "" not in segments
+                and "\t" not in lemma
+                and upos in UPOS_TAGS
+                and (deprel in UD_RELATIONS or not deprel
+                     or deprel.partition(":")[0] in UD_RELATIONS)
+                and (feats._verdict or feats._well_formed())
+            ):
+                _check_token(token, report)
+
+            heads[token_id] = head
+            if head == 0:
+                roots.append(token_id)
+                if deprel != "root":
+                    head_problems.append(
+                        (token_id, "root-deprel", f"head 0 requires deprel 'root', got {deprel!r}")
+                    )
+            elif head is None:
+                head_problems.append((token_id, "head-missing", "missing HEAD value"))
+            else:
+                if head > n:
+                    head_problems.append((token_id, "head-range", f"head {head} outside 0..{n}"))
+                if deprel == "root":
+                    head_problems.append(
+                        (token_id, "root-deprel", f"deprel 'root' requires head 0, got {head}")
+                    )
+                elif not deprel:
+                    head_problems.append((token_id, "deprel-missing", "missing DEPREL value"))
+
         if n and not roots:
             report(None, "root-count", "no root token (head == 0)")
         elif len(roots) > 1:
-            report(None, "root-count", f"multiple roots: tokens {[t.id for t in roots]}")
+            report(None, "root-count", f"multiple roots: tokens {roots}")
+        for problem in head_problems:
+            report(*problem)
 
-        for token in sentence.tokens:
-            if token.head is None:
-                report(token.id, "head-missing", "missing HEAD value")
-            elif token.head > n:
-                report(token.id, "head-range", f"head {token.head} outside 0..{n}")
-            if token.head == 0 and token.deprel != "root":
-                report(token.id, "root-deprel", f"head 0 requires deprel 'root', got {token.deprel!r}")
-            if token.head not in (0, None) and token.deprel == "root":
-                report(token.id, "root-deprel", f"deprel 'root' requires head 0, got {token.head}")
-            if token.head not in (0, None) and not token.deprel:
-                report(token.id, "deprel-missing", "missing DEPREL value")
-
-        entries = _cycle_entries({t.id: t.head for t in sentence.tokens})
-        for token in sentence.tokens:
-            through = entries.get(token.id)
-            if through is not None:
-                report(token.id, "head-cycle", f"head cycle through token {through}")
+        entries = _cycle_entries(heads)
+        if any(entries.values()):  # an entry is None or the id of a token on a cycle, never 0
+            for token in tokens:
+                through = entries.get(token.id)
+                if through is not None:
+                    report(token.id, "head-cycle", f"head cycle through token {through}")
     return diagnostics

@@ -11,7 +11,10 @@ index where the output block starts, i.e. the loss-mask boundary.
 `from_it_output` reads generated text back leniently: any line whose first
 whitespace- or tab-separated field is a positive integer counts as a row,
 and unparsable head/deprel cells are recorded as absent rather than raised.
-A number too long to convert reads as one past every sentence.
+An id or head cell that is exactly the digits of a number below
+`_SMALL_INT_BOUND` is looked up in a table; any other cell is stripped and
+checked for digits.  A number too long to convert reads as one past every
+sentence.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import io
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .conllu import Sentence, token_columns
+from .conllu import Sentence, _new_tuple, token_columns
 
 DEFAULT_INSTRUCTION = "아래의 문장을 의존구조문법에 맞게 분석해줘"
 
@@ -29,6 +32,10 @@ _INT_RE = re.compile(r"[0-9]+\Z")
 # sentence: such an id is a stray row and such a head matches no token.
 _MAX_DIGITS = 100
 _TOO_LARGE = 10**_MAX_DIGITS
+# The value of each cell that is exactly the canonical digits of a number
+# below this bound; any other cell takes the `_INT_RE` path.
+_SMALL_INT_BOUND = 256
+_SMALL_INTS = {str(n): n for n in range(_SMALL_INT_BOUND)}
 
 
 class ITRecord(NamedTuple):
@@ -77,24 +84,28 @@ def from_it_output(text: str) -> list[ParsedRow]:
     """Best-effort row extraction from (possibly degraded) generated text."""
     rows: list[ParsedRow] = []
     for line in text.splitlines():
-        if not line.strip():
+        if not line or line.isspace():
             continue
         fields = line.split("\t") if "\t" in line else line.split()
-        first = fields[0].strip()
-        if not _INT_RE.match(first):
-            continue
-        row_id = int(first) if len(first) <= _MAX_DIGITS else _long_int(first)
+        row_id = _SMALL_INTS.get(fields[0])
+        if row_id is None:
+            first = fields[0].strip()
+            if not _INT_RE.match(first):
+                continue
+            row_id = int(first) if len(first) <= _MAX_DIGITS else _long_int(first)
         if row_id < 1:
             continue
         head: int | None = None
-        if len(fields) > 6 and _INT_RE.match(cell := fields[6].strip()):
-            head = int(cell) if len(cell) <= _MAX_DIGITS else _long_int(cell)
+        if len(fields) > 6:
+            head = _SMALL_INTS.get(fields[6])
+            if head is None and _INT_RE.match(cell := fields[6].strip()):
+                head = int(cell) if len(cell) <= _MAX_DIGITS else _long_int(cell)
         deprel: str | None = None
         if len(fields) > 7:
             value = fields[7].strip()
             if value and value != "_":
                 deprel = value
-        rows.append(ParsedRow(id=row_id, head=head, deprel=deprel))
+        rows.append(_new_tuple(ParsedRow, (row_id, head, deprel)))
     return rows
 
 

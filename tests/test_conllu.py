@@ -1,4 +1,5 @@
 import copy
+import io
 import pickle
 import random
 import re
@@ -384,6 +385,21 @@ def test_feature_bag_copies_and_pickles():
     assert pickle.loads(pickle.dumps(bag)) == bag
 
 
+@pytest.mark.parametrize(
+    "entries, well_formed",
+    [({}, True), ({"Case": ["Nom"], "Mood": ["Cnd", "Pot"]}, True),
+     ({"bad key": ["Nom"]}, False), ({"Case": ["no-good"]}, False)],
+)
+def test_a_bags_cached_feats_verdict_changes_nothing_else(entries, well_formed):
+    judged, fresh = FeatureBag(entries), FeatureBag(entries)
+    assert judged._well_formed() is well_formed
+    assert judged._verdict is not None and fresh._verdict is None
+    assert judged == fresh and hash(judged) == hash(fresh)
+    assert repr(judged) == repr(fresh)
+    assert pickle.dumps(judged) == pickle.dumps(fresh)
+    assert copy.deepcopy(judged) == fresh
+
+
 def test_equal_feats_cells_share_one_bag():
     text = (
         "1\t학교\t학교\tNOUN\tNNG\tCase=Nom\t2\tnsubj\t_\t_\n"
@@ -538,6 +554,29 @@ def test_validate_checks_the_universal_part_of_each_deprel():
         diagnostics = validate([make_sentence(words, sent_id="s1", heads=[2, 0], deprels=[deprel, "root"])])
         assert [str(d) for d in diagnostics] == [f"[deprel-value] s1:1: invalid DEPREL {deprel!r}"]
     assert len(conllu.UD_RELATIONS) == 37
+
+
+def _sentence_with_extras(*extras):
+    token = Token(1, "학교", "학교", "NNG", "NOUN", head=0, deprel="root")
+    return Sentence(("# sent_id = s",), (token,), extras)
+
+
+def test_validate_reports_an_extra_line_outside_its_sentence():
+    assert validate([_sentence_with_extras((0, "1-2\tab"), (1, "1.1\tb"))]) == []
+    diagnostics = validate([_sentence_with_extras((5, "1-2\tab"), (0, "0.1\ta"), (-1, "x"))])
+    assert [str(d) for d in diagnostics] == [
+        "[extra-position] s: extra line at index 5 outside 0..1",
+        "[extra-position] s: extra line at index -1 outside 0..1",
+    ]
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_an_extra_line_outside_its_sentence_is_not_written(index):
+    good = _sentence_with_extras((1, "1.1\tb"))
+    sink = io.StringIO()
+    with pytest.raises(ConlluError, match=rf"^extra line at index {index} outside 0\.\.1: 'x'$"):
+        conllu.write_conllu([good, _sentence_with_extras((0, "0.1\ta"), (index, "x"))], sink)
+    assert sink.getvalue() == serialize_conllu([good])
 
 
 def test_canonical_upos_folds_derivational_suffixes():

@@ -1,0 +1,365 @@
+"""The rewritten parse, prediction reader and `validate` against the versions
+they replaced, kept here as they were: on any input each must give the same
+result, or the same error text and line, or the same diagnostics in the
+same order.  The old versions call the helpers the rewrite left as they
+were (`_split_plus`, `_misalignment`, `_parse_feats`, `_id_error`,
+`_cycle_entries`, `_long_int`) from the package."""
+
+import contextlib
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import PREDICTION_TEXT, SEJONG_TREEBANK
+from udmorph import conllu, itdata
+from udmorph.conllu import (
+    _EMPTY_ID_RE,
+    _FEAT_KEY_RE,
+    _FEAT_VALUE_RE,
+    _RANGE_ID_RE,
+    _WORD_ID_RE,
+    COLUMN_COUNT,
+    SEJONG_TAGS,
+    UD_RELATIONS,
+    UPOS_TAGS,
+    ConlluError,
+    Diagnostic,
+    FeatureBag,
+    Sentence,
+    Token,
+    _cycle_entries,
+    _id_error,
+    _misalignment,
+    _parse_feats,
+    _split_plus,
+)
+from udmorph.itdata import _INT_RE, _MAX_DIGITS, _SMALL_INT_BOUND, ParsedRow, _long_int
+
+
+def _old_token_cells(lemma, upos, xpos, feats, lenient):
+    lemma = "" if lemma == "_" else lemma
+    xpos = "" if xpos == "_" else xpos
+    tags = []
+    unknown = []
+    for code in _split_plus(xpos):
+        if code not in SEJONG_TAGS:
+            if not lenient:
+                raise ConlluError(f"unknown XPOS tag {code!r}")
+            unknown.append(code)
+            code = "NA"
+        tags.append(code)
+    problem = _misalignment(_split_plus(lemma), tags, lenient)
+    if problem:
+        raise ConlluError(problem)
+    return lemma, "+".join(tags), "" if upos == "_" else upos, _parse_feats(feats), tuple(unknown)
+
+
+def _old_iter_sentences(source, *, lenient=False):
+    stream = io.StringIO(source, newline=None)
+    comments, tokens, extras = [], [], []
+    unknown_tags = {}
+    id_texts = ["0"]
+
+    def flush(lineno):
+        if not tokens:
+            raise ConlluError("sentence without token lines", lineno)
+        sentence = Sentence(tuple(comments), tuple(tokens), tuple(extras))
+        comments.clear()
+        tokens.clear()
+        extras.clear()
+        return sentence
+
+    lineno = 0
+    for lineno, line in enumerate(stream, start=1):
+        line = line.rstrip("\n")
+        if line == "":
+            if comments or tokens or extras:
+                yield flush(lineno)
+            continue
+        if line.startswith("#"):
+            if tokens or extras:
+                raise ConlluError("comment line inside a sentence", lineno)
+            comments.append(line)
+            continue
+        columns = line.split("\t")
+        if len(columns) != COLUMN_COUNT:
+            raise ConlluError(
+                f"expected {COLUMN_COUNT} tab-separated columns, got {len(columns)}", lineno
+            )
+        raw_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = columns
+        token_id = len(tokens) + 1
+        if token_id == len(id_texts):
+            id_texts.append(str(token_id))
+        if raw_id != id_texts[token_id]:
+            if _WORD_ID_RE.match(raw_id):
+                raise _id_error(raw_id, token_id, lineno)
+            if not (_RANGE_ID_RE.match(raw_id) or _EMPTY_ID_RE.match(raw_id)):
+                raise ConlluError(f"invalid token id {raw_id!r}", lineno)
+            extras.append((len(tokens), line))
+            continue
+        try:
+            lemma, xpos, upos, bag, unknown = _old_token_cells(lemma, upos, xpos, feats, lenient)
+        except ConlluError as error:
+            raise ConlluError(str(error), lineno) from None
+        for code in unknown:
+            unknown_tags.setdefault(code, [lineno, 0])[1] += 1
+        if head == "_":
+            head_value = None
+        elif head == "0" or _WORD_ID_RE.match(head):
+            try:
+                head_value = int(head)
+            except ValueError:
+                raise ConlluError(f"invalid HEAD value: {len(head)} digits", lineno) from None
+        else:
+            raise ConlluError(f"invalid HEAD value {head!r}", lineno)
+        tokens.append(
+            Token(token_id, form, lemma, xpos, upos, bag, head_value,
+                  "" if deprel == "_" else deprel, deps, misc)
+        )
+    if comments or tokens or extras:
+        yield flush(lineno + 1)
+    for code, (first_line, count) in unknown_tags.items():
+        conllu.warn(f"unknown XPOS tag {code!r} mapped to NA {count} time(s), first on line {first_line}")
+
+
+def _old_from_it_output(text):
+    rows = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        fields = line.split("\t") if "\t" in line else line.split()
+        first = fields[0].strip()
+        if not _INT_RE.match(first):
+            continue
+        row_id = int(first) if len(first) <= _MAX_DIGITS else _long_int(first)
+        if row_id < 1:
+            continue
+        head = None
+        if len(fields) > 6 and _INT_RE.match(cell := fields[6].strip()):
+            head = int(cell) if len(cell) <= _MAX_DIGITS else _long_int(cell)
+        deprel = None
+        if len(fields) > 7:
+            value = fields[7].strip()
+            if value and value != "_":
+                deprel = value
+        rows.append(ParsedRow(id=row_id, head=head, deprel=deprel))
+    return rows
+
+
+def _old_check_token(token, report):
+    segments, tags = _split_plus(token.lemma), _split_plus(token.xpos)
+    problem = _misalignment(segments, tags, lenient=False)
+    if problem:
+        report(token.id, "morph-alignment", problem)
+    for code in tags:
+        if code not in SEJONG_TAGS:
+            report(token.id, "xpos-tag", f"unknown XPOS tag {code!r}")
+    for surface in segments:
+        if surface == "" or "\t" in surface:
+            report(token.id, "morpheme-surface", f"invalid morpheme surface {surface!r}")
+    if token.upos not in UPOS_TAGS:
+        report(token.id, "upos-value", f"invalid UPOS {token.upos!r}")
+    if token.deprel and token.deprel.partition(":")[0] not in UD_RELATIONS:
+        report(token.id, "deprel-value", f"invalid DEPREL {token.deprel!r}")
+    for key, values in token.feats.items():
+        if not _FEAT_KEY_RE.match(key):
+            report(token.id, "feats-syntax", f"invalid feature key {key!r}")
+        for v in values:
+            if not _FEAT_VALUE_RE.match(v):
+                report(token.id, "feats-syntax", f"invalid feature value {v!r}")
+
+
+def _old_validate(sentences, start=1):
+    diagnostics = []
+    for index, sentence in enumerate(sentences, start=start):
+        sent_id = sentence.sent_id or ""
+        sid = sent_id if sent_id and "\t" not in sent_id else str(index)
+
+        def report(token_id, rule, message, _sid=sid):
+            diagnostics.append(Diagnostic(_sid, token_id, rule, message))
+
+        if "\t" in sent_id:
+            report(None, "sent-id", f"sent_id {sent_id!r} holds a tab")
+        n = len(sentence.tokens)
+        for position, token in enumerate(sentence.tokens, start=1):
+            if token.id != position:
+                report(token.id, "id-sequence", f"expected id {position}, got {token.id}")
+            _old_check_token(token, report)
+        roots = [t for t in sentence.tokens if t.head == 0]
+        if n and not roots:
+            report(None, "root-count", "no root token (head == 0)")
+        elif len(roots) > 1:
+            report(None, "root-count", f"multiple roots: tokens {[t.id for t in roots]}")
+        for token in sentence.tokens:
+            if token.head is None:
+                report(token.id, "head-missing", "missing HEAD value")
+            elif token.head > n:
+                report(token.id, "head-range", f"head {token.head} outside 0..{n}")
+            if token.head == 0 and token.deprel != "root":
+                report(token.id, "root-deprel", f"head 0 requires deprel 'root', got {token.deprel!r}")
+            if token.head not in (0, None) and token.deprel == "root":
+                report(token.id, "root-deprel", f"deprel 'root' requires head 0, got {token.head}")
+            if token.head not in (0, None) and not token.deprel:
+                report(token.id, "deprel-missing", "missing DEPREL value")
+        entries = _cycle_entries({t.id: t.head for t in sentence.tokens})
+        for token in sentence.tokens:
+            through = entries.get(token.id)
+            if through is not None:
+                report(token.id, "head-cycle", f"head cycle through token {through}")
+    return diagnostics
+
+
+# -- parse ------------------------------------------------------------------
+
+_LONG_ID = "9" * 30
+_CELL_SWAPS = {
+    0: ["0", "01", "x", "1-", "2-3", "1.1", "3", "12", _LONG_ID, ""],  # id
+    2: ["_", "a++b", "학교+가", "+", "x y"],  # LEMMA
+    3: ["Noun", "_", ""],  # UPOS
+    4: ["ZZZ", "NNG+ZZZ", "NNG+JKS", "_", "+", "EF"],  # XPOS
+    5: ["Case", "a=b=c", "Case=Nom", "_", "b=1|a=2"],  # FEATS
+    6: ["01", "-1", "_", _LONG_ID, "0", "1", "2", "5", "255", "256", "2000", "x", ""],  # HEAD
+    7: ["_", "root", "acl:relcl"],  # DEPREL
+}
+
+
+@st.composite
+def _mutated_blocks(draw):
+    """SEJONG_TREEBANK text with a few lines changed: a column dropped or
+    added, a comment or blank line inserted, or one cell swapped for a bad
+    or odd value (ids, heads `01`, `-1`, `_` and a 30-digit one, tags,
+    alignment, FEATS)."""
+    lines = draw(SEJONG_TREEBANK).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "add", "comment", "blank", "cell", "cell", "cell"]))
+        columns = lines[i].split("\t")
+        if kind == "drop" and len(columns) > 1:
+            del columns[draw(st.integers(0, len(columns) - 1))]
+        elif kind == "add":
+            columns.insert(draw(st.integers(0, len(columns))), draw(st.sampled_from(["_", "x", ""])))
+        elif kind == "comment":
+            columns = ["# inserted"]
+        elif kind == "blank":
+            columns = [""]
+        elif kind == "cell" and len(columns) == COLUMN_COUNT:
+            column = draw(st.sampled_from(sorted(_CELL_SWAPS)))
+            columns[column] = draw(st.sampled_from(_CELL_SWAPS[column]))
+        lines[i] = "\t".join(columns)
+    return "\n".join(lines)
+
+
+def _parse_outcome(parse, text, lenient):
+    """The sentences, or the error's text and line, and what went to stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            result = list(parse(text, lenient=lenient))
+        except ConlluError as error:
+            result = (str(error), error.line)
+    return result, stderr.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_mutated_blocks(), lenient=st.booleans())
+def test_parse_gives_what_the_column_split_parser_gave(text, lenient):
+    assert _parse_outcome(conllu.iter_sentences, text, lenient) == _parse_outcome(
+        _old_iter_sentences, text, lenient
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_mutated_blocks(), lenient=st.booleans())
+def test_parse_with_a_cold_memo_gives_what_the_column_split_parser_gave(text, lenient):
+    conllu._token_cells.cache_clear()
+    assert _parse_outcome(conllu.iter_sentences, text, lenient) == _parse_outcome(
+        _old_iter_sentences, text, lenient
+    )
+
+
+def test_a_line_of_eleven_columns_and_a_bad_id_reports_the_columns():
+    line = "x\t학교\t학교\tNOUN\tNNG\t_\t0\troot\t_\t_\t_"
+    for text in (f"{line}\n\n", f"1\t가\t가\tNOUN\tNNG\t_\t0\troot\t_\t_\n{line}\n\n"):
+        assert _parse_outcome(conllu.iter_sentences, text, False)[0][0].endswith(
+            "expected 10 tab-separated columns, got 11"
+        )
+
+
+# -- prediction reader ------------------------------------------------------
+
+_NUMBER_CELLS = st.one_of(
+    st.integers(0, 3 * _SMALL_INT_BOUND).map(str),
+    st.sampled_from([str(_SMALL_INT_BOUND - 1), str(_SMALL_INT_BOUND), "0", "00", "007", "0255",
+                     "0256", " 5", "5 ", "\u00a05", "\u0663", "\uff11\uff12", "+1", "-1", "1_0"]),
+)
+_PREDICTION_LINES = st.builds(
+    str.join,
+    st.sampled_from(["\t", " "]),
+    st.lists(st.one_of(_NUMBER_CELLS, st.sampled_from(["_", "root", "nsubj", " ", ""])), max_size=9),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(PREDICTION_TEXT, st.lists(_PREDICTION_LINES, max_size=8).map("\n".join)))
+def test_the_prediction_reader_gives_the_rows_the_regex_reader_gave(text):
+    rows = itdata.from_it_output(text)
+    assert rows == _old_from_it_output(text)
+    assert all(type(row) is ParsedRow for row in rows)
+
+
+# -- validate ---------------------------------------------------------------
+
+# One library-built bag with a bad key and one with a bad value, each shared
+# by every token that draws it, so the cached verdict is read again.
+_BAD_KEY_BAG = FeatureBag({"bad key": ["Nom"]})
+_BAD_VALUE_BAG = FeatureBag({"Case": ["no-good", "Nom"]})
+_LEMMAS = ["", "+", "a++b", "a\tb", "학교+가", "+a", "a+", "x", "a\tb+c"]
+_XPOS = ["", "+", "ZZZ", "NNG+ZZZ", "NNG+JKS", "NNG", "VV+EF", "NNG++JKS"]
+_TOKEN_SWAPS = {
+    "id": st.integers(-1, 15),
+    "lemma": st.sampled_from(_LEMMAS),
+    "xpos": st.sampled_from(_XPOS),
+    "upos": st.sampled_from(["", "Noun", "NOUN", "VERB", "_"]),
+    "deprel": st.sampled_from(["", "root", "acl:relcl", "bad", "bad:x", "nsubj", ":", "acl:"]),
+    "feats": st.sampled_from([_BAD_KEY_BAG, _BAD_VALUE_BAG, FeatureBag(), FeatureBag({"Case": ["Nom"]})]),
+    "head": st.one_of(st.none(), st.integers(-1, 15)),
+}
+
+
+@st.composite
+def _mutated_sentences(draw):
+    sentences = conllu.parse_conllu(draw(SEJONG_TREEBANK))
+    for _ in range(draw(st.integers(0, 6))):
+        s = draw(st.integers(0, len(sentences) - 1))
+        tokens = list(sentences[s].tokens)
+        i = draw(st.integers(0, len(tokens) - 1))
+        field = draw(st.sampled_from([*_TOKEN_SWAPS, "shape"]))
+        if field == "shape":  # LEMMA and XPOS together, so bad pairs of equal length occur
+            lemma, xpos = draw(st.sampled_from(_LEMMAS)), draw(st.sampled_from(_XPOS))
+            tokens[i] = tokens[i]._replace(lemma=lemma, xpos=xpos)
+        else:
+            tokens[i] = tokens[i]._replace(**{field: draw(_TOKEN_SWAPS[field])})
+        sentences[s] = sentences[s]._replace(tokens=tuple(tokens))
+    if draw(st.booleans()):
+        sentences[0] = sentences[0]._replace(comments=("# sent_id = a\tb",))
+    return sentences
+
+
+@settings(max_examples=400, deadline=None)
+@given(sentences=_mutated_sentences(), start=st.integers(1, 3))
+def test_validate_gives_the_diagnostics_the_token_by_token_validator_gave(sentences, start):
+    assert conllu.validate(sentences, start) == _old_validate(sentences, start)
+
+
+def test_a_bag_with_a_bad_key_is_reported_on_every_token_that_shares_it():
+    bag = FeatureBag({"bad key": ["Nom"]})
+    tokens = tuple(
+        Token(i, "학교", "학교", "NNG", "NOUN", bag, 0 if i == 1 else 1, "root" if i == 1 else "dep")
+        for i in range(1, 4)
+    )
+    sentences = [Sentence(("# sent_id = s",), tokens)] * 2
+    diagnostics = conllu.validate(sentences)
+    assert diagnostics == _old_validate(sentences)
+    assert [(d.token_id, d.rule) for d in diagnostics] == [(i, "feats-syntax") for i in (1, 2, 3)] * 2
+    assert diagnostics[0].message == "invalid feature key 'bad key'"

@@ -2,18 +2,24 @@
 on a corpus of every feature-family fixture, one featureless conjunctive
 ending (the only transcription) and FIG1, run through
 `python -m udmorph`, must write exactly the bytes under `tests/golden/`.
+The golden files also make a round trip: both treebanks pass `validate`,
+and the records' output blocks, read back as predictions, score full
+marks against `corrected.conllu`.
 
 Regenerate the files with `PYTHONPATH=src python tests/test_golden.py` only
 when an output change is intended, and review the diff."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import udmorph
 from conftest import FAMILY_FIXTURES, FIG1_CONLLU, make_sentence
-from udmorph.conllu import serialize_conllu
+from udmorph.conllu import parse_conllu, serialize_conllu
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,26 +44,31 @@ def corpus() -> str:
     return serialize_conllu(sentences) + FIG1_CONLLU
 
 
+def udmorph_cli(args: list[str], workdir: Path) -> subprocess.CompletedProcess:
+    """`python -m udmorph *args` in `workdir`, run from this checkout."""
+    env = dict(os.environ)
+    package_root = str(Path(udmorph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "udmorph", *args],
+        cwd=workdir,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
 def run_stages(workdir: Path) -> dict[str, bytes]:
     """Run the three stages in `workdir`; returns each output's bytes."""
     (workdir / "corpus.conllu").write_text(corpus(), encoding="utf-8")
     (workdir / "aux.tsv").write_text(AUX, encoding="utf-8")
-    env = dict(os.environ)
-    package_root = str(Path(udmorph.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     for args in (
         ["enrich", "corpus.conllu", "-o", "enriched.conllu"],
         ["correct", "enriched.conllu", "--aux", "aux.tsv", "--records", "corrections.tsv",
          "-o", "corrected.conllu"],
         ["convert-it", "corrected.conllu", "-o", "it.jsonl"],
     ):
-        result = subprocess.run(
-            [sys.executable, "-m", "udmorph", *args],
-            cwd=workdir,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        result = udmorph_cli(args, workdir)
         assert result.returncode == 0, f"udmorph {args[0]} exited {result.returncode}: {result.stderr}"
     return {name: (workdir / name).read_bytes() for name in OUTPUTS}
 
@@ -69,6 +80,26 @@ def test_outputs_match_golden_bytes(tmp_path):
     assert {"ext-xpos", "ner-propn", "ner-common"} <= fired
     for name, data in outputs.items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from tests/golden/{name}"
+
+
+@pytest.mark.parametrize("name", ["enriched.conllu", "corrected.conllu"])
+def test_golden_treebanks_validate_clean(name):
+    result = udmorph_cli(["validate", str(GOLDEN / name)], GOLDEN)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_golden_records_output_blocks_score_full_marks_against_their_gold(tmp_path):
+    with open(GOLDEN / "it.jsonl", encoding="utf-8") as records:
+        blocks = [json.loads(line)["output"] for line in records]
+    predictions = tmp_path / "predictions.txt"
+    predictions.write_text("\n".join(blocks), encoding="utf-8")
+    result = udmorph_cli(["eval", str(GOLDEN / "corrected.conllu"), str(predictions)], tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    report = dict(line.split("\t") for line in result.stdout.splitlines() if "\t" in line)
+    assert (report["uas"], report["las"]) == ("100.00", "100.00")
+    assert (report["unmatched"], report["missing"]) == ("0", "0")
+    gold = parse_conllu((GOLDEN / "corrected.conllu").read_text(encoding="utf-8"))
+    assert int(report["total"]) == sum(len(sentence.tokens) for sentence in gold)
 
 
 if __name__ == "__main__":

@@ -121,9 +121,10 @@ class FeatureBag:
 
     Values are stored deduplicated and canonically sorted, so serialization
     is a fixed point: keys in case-insensitive alphabetical order joined by
-    `|`, multiple values per key joined by `,`, the empty bag as `_`; the
-    text is rendered once per bag, and so is the verdict on its FEATS syntax
-    that `validate` reads.
+    `|`, multiple values per key joined by `,`, the empty bag as `_`.  A bag
+    renders its text, and judges whether every key and value is valid FEATS
+    syntax (as a parsed bag's always are, while a bag built from a dict may
+    hold anything), once, when it is built.
     """
 
     __slots__ = ("_entries", "_text", "_verdict")
@@ -135,8 +136,11 @@ class FeatureBag:
             if values:
                 items.append((key, values))
         object.__setattr__(self, "_entries", tuple(items))
-        object.__setattr__(self, "_text", None)
-        object.__setattr__(self, "_verdict", None)
+        object.__setattr__(self, "_text", "|".join(f"{k}={','.join(v)}" for k, v in items) or "_")
+        object.__setattr__(self, "_verdict", all(
+            _FEAT_KEY_RE.match(key) and all(_FEAT_VALUE_RE.match(v) for v in values)
+            for key, values in items
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("FeatureBag is immutable")
@@ -166,23 +170,7 @@ class FeatureBag:
         return f"FeatureBag({dict((k, list(v)) for k, v in self._entries)!r})"
 
     def to_conllu(self) -> str:
-        text = self._text
-        if text is None:
-            text = "|".join(f"{k}={','.join(v)}" for k, v in self._entries) or "_"
-            object.__setattr__(self, "_text", text)
-        return text
-
-    def _well_formed(self) -> bool:
-        """Whether every key and value is valid FEATS syntax, as a parsed
-        bag's always are; a bag built from a dict may hold anything."""
-        verdict = self._verdict
-        if verdict is None:
-            verdict = all(
-                _FEAT_KEY_RE.match(key) and all(_FEAT_VALUE_RE.match(v) for v in values)
-                for key, values in self._entries
-            )
-            object.__setattr__(self, "_verdict", verdict)
-        return verdict
+        return self._text
 
     @classmethod
     def from_conllu(cls, text: str, line: int | None = None) -> "FeatureBag":
@@ -531,29 +519,19 @@ def write_conllu(sentences: Iterable[Sentence], sink: TextIO) -> None:
         sink.write("\n".join(lines))
 
 
-def _check_token(token: Token, report) -> None:
+def _check_morphemes(token_id: int, lemma: str, xpos: str, report) -> None:
     # the raw columns, not token.morphemes: a misaligned token is reported
-    segments, tags = _split_plus(token.lemma), _split_plus(token.xpos)
+    segments, tags = _split_plus(lemma), _split_plus(xpos)
     problem = _misalignment(segments, tags, lenient=False)
     if problem:
-        report(token.id, "morph-alignment", problem)
+        report(token_id, "morph-alignment", problem)
     for code in tags:
         if code not in SEJONG_TAGS:
-            report(token.id, "xpos-tag", f"unknown XPOS tag {code!r}")
+            report(token_id, "xpos-tag", f"unknown XPOS tag {code!r}")
     for surface in segments:
         # a surface holds "+" only as the whole literal-plus lemma
         if surface == "" or "\t" in surface:
-            report(token.id, "morpheme-surface", f"invalid morpheme surface {surface!r}")
-    if token.upos not in UPOS_TAGS:
-        report(token.id, "upos-value", f"invalid UPOS {token.upos!r}")
-    if token.deprel and token.deprel.partition(":")[0] not in UD_RELATIONS:
-        report(token.id, "deprel-value", f"invalid DEPREL {token.deprel!r}")
-    for key, values in token.feats.items():
-        if not _FEAT_KEY_RE.match(key):
-            report(token.id, "feats-syntax", f"invalid feature key {key!r}")
-        for v in values:
-            if not _FEAT_VALUE_RE.match(v):
-                report(token.id, "feats-syntax", f"invalid feature value {v!r}")
+            report(token_id, "morpheme-surface", f"invalid morpheme surface {surface!r}")
 
 
 def _cycle_entries(heads: dict[int, int | None]) -> dict[int, int | None]:
@@ -563,23 +541,20 @@ def _cycle_entries(heads: dict[int, int | None]) -> dict[int, int | None]:
     and a tail node has the entry of the node it heads into."""
     entries: dict[int, int | None] = {}
     for start in heads:
-        path: list[int] = []
-        on_path: set[int] = set()
+        if start in entries:
+            continue
+        path: dict[int, None] = {}  # this walk's nodes, in order
         node = start
-        while node != 0 and node in heads and node not in entries and node not in on_path:
-            path.append(node)
-            on_path.add(node)
+        while node != 0 and node in heads and node not in entries and node not in path:
+            path[node] = None
             node = heads[node]
-        if node in on_path:
-            first = path.index(node)
-            for member in path[first:]:
-                entries[member] = member
-            del path[first:]
-            reached = node
-        else:
-            reached = entries.get(node)
+        # a cycle this walk closed starts at `node`, and the members before
+        # it are its tail; an entry an earlier walk placed is never on `path`
+        reached = node if node in path else entries.get(node)
+        on_cycle = False
         for member in path:
-            entries[member] = reached
+            on_cycle = on_cycle or member == reached
+            entries[member] = member if on_cycle else reached
     return entries
 
 
@@ -588,9 +563,10 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
 
     A sentence without a `sent_id`, or whose `sent_id` holds a tab (which
     no tab-separated file can carry), is named by its position, counted from
-    `start`.  Linear in each sentence's length.  A token's cells go through
-    `_check_token` only when a quick check of them fails, and a bag's FEATS
-    syntax is judged once per bag."""
+    `start`.  Linear in each sentence's length.  A token's LEMMA and XPOS go
+    through `_check_morphemes` only when a quick split of them fails, and a
+    bag's FEATS are read key by key only when its verdict, settled when the
+    bag was built, is false."""
     diagnostics: list[Diagnostic] = []
     for index, sentence in enumerate(sentences, start=start):
         sent_id = sentence.sent_id or ""
@@ -617,17 +593,20 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
                 report(token_id, "id-sequence", f"expected id {position}, got {token_id}")
             segments = lemma.split("+")
             tags = xpos.split("+")
-            if not (
-                len(segments) == len(tags)
-                and SEJONG_TAGS.issuperset(tags)
-                and "" not in segments
-                and "\t" not in lemma
-                and upos in UPOS_TAGS
-                and (deprel in UD_RELATIONS or not deprel
-                     or deprel.partition(":")[0] in UD_RELATIONS)
-                and (feats._verdict or feats._well_formed())
-            ):
-                _check_token(token, report)
+            if (len(segments) != len(tags) or not SEJONG_TAGS.issuperset(tags)
+                    or "" in segments or "\t" in lemma):
+                _check_morphemes(token_id, lemma, xpos, report)
+            if upos not in UPOS_TAGS:
+                report(token_id, "upos-value", f"invalid UPOS {upos!r}")
+            if deprel and deprel.partition(":")[0] not in UD_RELATIONS:
+                report(token_id, "deprel-value", f"invalid DEPREL {deprel!r}")
+            if not feats._verdict:
+                for key, values in feats.items():
+                    if not _FEAT_KEY_RE.match(key):
+                        report(token_id, "feats-syntax", f"invalid feature key {key!r}")
+                    for v in values:
+                        if not _FEAT_VALUE_RE.match(v):
+                            report(token_id, "feats-syntax", f"invalid feature value {v!r}")
 
             heads[token_id] = head
             if head == 0:

@@ -75,7 +75,8 @@ def to_it_record(sentence: Sentence, instruction: str = DEFAULT_INSTRUCTION) -> 
 
 
 def _long_int(cell: str) -> int:
-    """The value of a cell of more than _MAX_DIGITS digits, leading zeros ignored."""
+    """The value of a cell of digits, leading zeros ignored; past _MAX_DIGITS
+    significant digits, _TOO_LARGE."""
     digits = cell.lstrip("0")
     return int(digits or "0") if len(digits) <= _MAX_DIGITS else _TOO_LARGE
 
@@ -92,14 +93,14 @@ def from_it_output(text: str) -> list[ParsedRow]:
             first = fields[0].strip()
             if not _INT_RE.match(first):
                 continue
-            row_id = int(first) if len(first) <= _MAX_DIGITS else _long_int(first)
+            row_id = _long_int(first)
         if row_id < 1:
             continue
         head: int | None = None
         if len(fields) > 6:
             head = _SMALL_INTS.get(fields[6])
             if head is None and _INT_RE.match(cell := fields[6].strip()):
-                head = int(cell) if len(cell) <= _MAX_DIGITS else _long_int(cell)
+                head = _long_int(cell)
         deprel: str | None = None
         if len(fields) > 7:
             value = fields[7].strip()

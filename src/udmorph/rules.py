@@ -306,8 +306,6 @@ def _parse_rule_line(body: str, line: int) -> Rule:
             raise RulePackError(f"unknown feature key {key!r}", line)
         _check_feature_value(value, line)
         emits.append((key, value))
-    if not emits:
-        raise RulePackError("rule emits nothing", line)
 
     return Rule(
         id=rule_id,

@@ -254,6 +254,8 @@ def test_invalid_feats_syntax():
     bad = "1\t학교\t학교\tNOUN\tNNG\tCase\t0\troot\t_\t_\n\n"
     with pytest.raises(ConlluError, match="invalid FEATS"):
         parse_conllu(bad)
+    with pytest.raises(ConlluError, match="^line 1: invalid FEATS key: '1Case'$"):
+        parse_conllu(bad.replace("\tCase\t", "\t1Case=Nom\t"))
 
 
 def test_multiword_ranges_pass_through():
@@ -383,6 +385,8 @@ def test_feature_bag_copies_and_pickles():
     assert copy.copy(bag) == bag
     assert copy.deepcopy(bag) == bag
     assert pickle.loads(pickle.dumps(bag)) == bag
+    with pytest.raises(AttributeError, match="FeatureBag is immutable"):
+        bag._entries = ()
 
 
 @pytest.mark.parametrize(
@@ -391,13 +395,15 @@ def test_feature_bag_copies_and_pickles():
      ({"bad key": ["Nom"]}, False), ({"Case": ["no-good"]}, False)],
 )
 def test_a_bags_cached_feats_verdict_changes_nothing_else(entries, well_formed):
-    judged, fresh = FeatureBag(entries), FeatureBag(entries)
-    assert judged._well_formed() is well_formed
-    assert judged._verdict is not None and fresh._verdict is None
-    assert judged == fresh and hash(judged) == hash(fresh)
-    assert repr(judged) == repr(fresh)
-    assert pickle.dumps(judged) == pickle.dumps(fresh)
-    assert copy.deepcopy(judged) == fresh
+    bag = FeatureBag(entries)
+    assert bag._verdict is well_formed
+    # a bag pickles, compares, hashes and prints by its entries alone, and
+    # a copy settles the same text and verdict again
+    assert bag.__reduce__() == (FeatureBag, (dict(bag.items()),))
+    for copied in (pickle.loads(pickle.dumps(bag)), copy.deepcopy(bag)):
+        assert copied == bag and hash(copied) == hash(bag) and repr(copied) == repr(bag)
+        assert copied._verdict is well_formed and copied.to_conllu() == bag.to_conllu()
+        assert pickle.dumps(copied) == pickle.dumps(bag)
 
 
 def test_equal_feats_cells_share_one_bag():

@@ -267,6 +267,15 @@ def test_aggregate_empty_and_invalid_total():
     assert aggregate_stats([], 10).rows == ()
     with pytest.raises(CorrectionError):
         aggregate_stats([], 0)
+    records = [_record("UPOS", "ADV", "NOUN"), _record("UPOS", "ADV", "NOUN", token_id=2)]
+    with pytest.raises(CorrectionError, match="^total_tokens 1 is below the 2 corrected tokens$"):
+        aggregate_stats(records, 1)
+
+
+def test_replaying_a_record_of_an_unknown_field_is_an_error():
+    sentence = make_sentence([("학교", "학교", "NNG", "NOUN")], sent_id="s1")
+    with pytest.raises(CorrectionError, match="^unknown record field 'FEATS'$"):
+        apply_records(sentence, [_record("FEATS", "_", "Case=Nom")])
 
 
 def test_stats_formatting_four_decimals():
@@ -281,6 +290,14 @@ def test_stats_formatting_four_decimals():
 def test_log_rejects_a_token_id_below_one():
     with pytest.raises(CorrectionError, match="line 3: token_id must be at least 1, got -2"):
         read_records("# total_tokens\t4\ns1\t1\tUPOS\tADV\tNOUN\tr\ns1\t-2\tUPOS\tADV\tNOUN\tr\n")
+
+
+def test_log_skips_a_blank_line_and_refuses_a_row_of_five_columns():
+    log = "# total_tokens\t4\ns1\t1\tUPOS\tADV\tNOUN\tr\n\ns1\t2\tUPOS\tADV\tNOUN\tr\n"
+    records, total = read_records(log)
+    assert [r.token_id for r in records] == [1, 2] and total == 4
+    with pytest.raises(CorrectionError, match="^line 2: expected 6 columns, got 5$"):
+        read_records("# total_tokens\t4\ns1\t1\tUPOS\tADV\tNOUN\n")
 
 
 def test_records_round_trip_through_log():
@@ -314,6 +331,8 @@ def test_sidecar_parsing():
     assert entries[2].ext_xpos == ("NNG", "JKS")
     with pytest.raises(CorrectionError, match="unknown XPOS tag"):
         read_aux_sidecar("s1\t1\t_\tZZZ\n")
+    with pytest.raises(CorrectionError, match="^line 2: expected 4 columns, got 3$"):
+        read_aux_sidecar("s1\t1\t_\t_\ns1\t2\tLOC\n")
     for token_id in ("0", "-3"):
         with pytest.raises(CorrectionError, match=f"line 2: token_id must be at least 1, got {token_id}"):
             read_aux_sidecar(f"s1\t1\t_\t_\ns1\t{token_id}\tLOC\t_\n")

@@ -3,12 +3,12 @@ they replaced, kept here as they were: on any input each must give the same
 result, or the same error text and line, or the same diagnostics in the
 same order.  The old versions call the helpers the rewrite left as they
 were (`_split_plus`, `_misalignment`, `_parse_feats`, `_id_error`,
-`_cycle_entries`, `_long_int`) from the package."""
+`_long_int`) from the package."""
 
 import contextlib
 import io
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PREDICTION_TEXT, SEJONG_TREEBANK
@@ -170,6 +170,29 @@ def _old_check_token(token, report):
                 report(token.id, "feats-syntax", f"invalid feature value {v!r}")
 
 
+def _old_cycle_entries(heads):
+    entries = {}
+    for start in heads:
+        path = []
+        on_path = set()
+        node = start
+        while node != 0 and node in heads and node not in entries and node not in on_path:
+            path.append(node)
+            on_path.add(node)
+            node = heads[node]
+        if node in on_path:
+            first = path.index(node)
+            for member in path[first:]:
+                entries[member] = member
+            del path[first:]
+            reached = node
+        else:
+            reached = entries.get(node)
+        for member in path:
+            entries[member] = reached
+    return entries
+
+
 def _old_validate(sentences, start=1):
     diagnostics = []
     for index, sentence in enumerate(sentences, start=start):
@@ -202,7 +225,7 @@ def _old_validate(sentences, start=1):
                 report(token.id, "root-deprel", f"deprel 'root' requires head 0, got {token.head}")
             if token.head not in (0, None) and not token.deprel:
                 report(token.id, "deprel-missing", "missing DEPREL value")
-        entries = _cycle_entries({t.id: t.head for t in sentence.tokens})
+        entries = _old_cycle_entries({t.id: t.head for t in sentence.tokens})
         for token in sentence.tokens:
             through = entries.get(token.id)
             if through is not None:
@@ -311,7 +334,7 @@ def test_the_prediction_reader_gives_the_rows_the_regex_reader_gave(text):
 # -- validate ---------------------------------------------------------------
 
 # One library-built bag with a bad key and one with a bad value, each shared
-# by every token that draws it, so the cached verdict is read again.
+# by every token that draws it, so its settled verdict is read again.
 _BAD_KEY_BAG = FeatureBag({"bad key": ["Nom"]})
 _BAD_VALUE_BAG = FeatureBag({"Case": ["no-good", "Nom"]})
 _LEMMAS = ["", "+", "a++b", "a\tb", "학교+가", "+a", "a+", "x", "a\tb+c"]
@@ -363,3 +386,19 @@ def test_a_bag_with_a_bad_key_is_reported_on_every_token_that_shares_it():
     assert diagnostics == _old_validate(sentences)
     assert [(d.token_id, d.rule) for d in diagnostics] == [(i, "feats-syntax") for i in (1, 2, 3)] * 2
     assert diagnostics[0].message == "invalid feature key 'bad key'"
+
+
+# Token ids and heads from a small range, so self-loops, cycles, tails into
+# a cycle, heads outside the sentence, `None` and a token id 0 all occur.
+_HEAD_MAPS = st.dictionaries(st.integers(0, 9), st.one_of(st.none(), st.integers(-1, 11)), max_size=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(heads=_HEAD_MAPS)
+@example(heads={1: 1, 2: 0})  # a self-loop
+@example(heads={1: 2, 2: 1, 3: 4, 4: 3, 5: 0})  # two cycles
+@example(heads={1: 2, 2: 3, 3: 4, 4: 2, 5: 1})  # tails into a cycle
+@example(heads={1: 7, 2: -1, 3: None, 4: 0})  # heads outside the sentence, and none
+@example(heads={0: 1, 1: 0, 2: 0})  # a token id 0
+def test_the_cycle_walker_gives_the_entries_the_list_and_set_walker_gave(heads):
+    assert _cycle_entries(heads) == _old_cycle_entries(heads)

@@ -23,6 +23,10 @@ def test_full_syllables(hangul, expected):
     assert romanize(hangul) == expected
 
 
+def test_compat_vowel_alone():
+    assert romanize("ㅏ") == "a"
+
+
 def test_compat_jamo_as_coda():
     assert romanize("ㄴ데") == "nde"
     assert romanize("ㄹ수록") == "lsurok"

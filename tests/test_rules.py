@@ -127,6 +127,42 @@ def test_unknown_tag_code_rejected():
         load_rule_pack(text)
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("rule a 1 tag=EC Mood=Des", "line 3: rule line missing '=>'"),
+        ("rule a 1 => Mood=Des", "line 3: rule line needs '<id> <priority> <field>...'"),
+        ("rule a x tag=EC => Mood=Des", "line 3: priority must be an integer, got 'x'"),
+        ("rule a 1 tag => Mood=Des", "line 3: malformed field 'tag'"),
+        ("rule a 1 tag=* => Mood=Des", "line 3: anchor tag may not be '*'"),
+        ("rule a 1 tag=EC pos=mid => Mood=Des",
+         "line 3: position must be one of ('any', 'initial', 'final'), got 'mid'"),
+        ("rule a 1 tag=EC next=*/VV,*/VX,*/EF => Mood=Des", "line 3: lookahead limited to two tokens"),
+        ("rule a 1 tag=EC near=고 => Mood=Des", "line 3: unknown rule field 'near'"),
+        ("rule a 1 surface=고 pos=final => Mood=Des",
+         "line 3: rule is missing the required tag= field"),
+        ("rule a 1 tag=EC => Mood", "line 3: malformed emission 'Mood'"),
+        ("rule a 1 tag=EC =>", "line 3: malformed emission ''"),
+        ("rule a 1 tag=EC prev=VV => Mood=Des", "line 3: context pattern 'VV' must be <surface>/<tag>"),
+        ("rule a 1 tag=EC next=싶 => Mood=Des", "line 3: context pattern '싶' must be <surface>/<tag>"),
+        ("func aux", "line 3: func needs '<class> <word>...'"),
+        ("voice 먹+히", "line 3: voice needs '<stem[+suffix]> <value>'"),
+        ("voice 먹+히 Pass Cau", "line 3: voice needs '<stem[+suffix]> <value>'"),
+        ("voice 먹+히 Pass\nvoice 먹+히 Cau", "line 4: duplicate voice entry '먹+히'"),
+        ("lang ko", "line 3: unknown directive 'lang'"),
+        ("rule voice:먹+히 1 tag=XSV => Voice=Pass\nvoice 먹+히 Pass",
+         "duplicate rule id 'voice:먹+히'"),
+    ],
+    ids=["no-arrow", "few-fields", "priority", "field", "tag-star", "pos", "next-three",
+         "unknown-field", "no-tag", "emission", "emits-nothing", "prev-slash", "next-slash",
+         "func", "voice-one", "voice-three", "voice-duplicate", "directive", "duplicate-id"],
+)
+def test_a_malformed_pack_is_refused_naming_its_line(lines, message):
+    with pytest.raises(RulePackError) as error:
+        load_rule_pack(f"{PACK_HEADER}\nlanguage ko\n{lines}\n")
+    assert str(error.value) == message
+
+
 # ---------------------------------------------------------- feature assignment
 
 def test_reference_tokens(pack):
@@ -396,6 +432,17 @@ def test_rule_pack_copies_and_pickles(pack):
         assert twin == warm
         assert twin.verdict.cache_info().currsize == 0
         assert [enrich_sentence(sentence, twin) for sentence in sentences] == expected
+
+
+def test_a_pack_equals_no_other_kind_of_object(pack):
+    assert pack.__eq__(object()) is NotImplemented
+    assert pack != object()
+
+
+def test_a_final_rule_skips_an_anchor_that_is_not_last():
+    rule = load_rule_pack(f"{PACK_HEADER}\nrule a 1 tag=EC pos=final => Mood=Des\n").rules[0]
+    assert rule.matches_word(_token("먹고", "먹+고", "VV+EC").morphemes)
+    assert not rule.matches_word(_token("먹고요", "먹+고+요", "VV+EC+JX").morphemes)
 
 
 def test_a_pack_cannot_swap_the_rules_its_memo_was_filled_from(pack):

@@ -4,9 +4,11 @@ Data flows on stdout, diagnostics and `WARNING: <message>` lines
 (`conllu.warn`) on stderr, so stages compose in shell pipelines
 (`udmorph enrich x.conllu | udmorph correct - | ...`).  Every input
 argument reads stdin for `-`, at most one per command.  Sentences stream one
-at a time in every command, `eval`'s gold and predictions in step; only
-`correct --records` holds every CorrectionRecord until the end, as the log's
-`# total_tokens` header comes first.  Outputs are byte-deterministic for
+at a time in every command, `eval`'s gold and predictions in step.  `correct`
+holds its aux sidecar, one object per distinct cell, and nothing per
+correction record: `--records` spools each sentence's log rows to an unnamed
+file and copies them after the `# total_tokens` header, which comes first
+but is known only at the end.  Outputs are byte-deterministic for
 identical inputs.  A named output (`-o FILE`, `--records FILE`) is written
 all or nothing (`_replacing`); stdout cannot be.  Exit codes:
 0 success, 1 validation failure, 2 I/O or format error.
@@ -32,6 +34,9 @@ RULES_ENV_VAR = "UDMORPH_RULES"
 
 _ENCODING = {"r": "utf-8-sig", "w": "utf-8"}
 
+# Characters `correct` copies from its spool to the correction log per read.
+_SPOOL_CHUNK = 1 << 16
+
 # Input arguments that name one file each; `inputs` names any number.
 _SINGLE_INPUTS = ("input", "gold", "predictions", "rules", "aux")
 
@@ -49,6 +54,18 @@ def _replaced_target(path: str) -> str | None:
     return None if os.path.exists(target) and not os.path.isfile(target) else target
 
 
+def _new_file(head: str, name: str, suffix: str) -> tuple[int, str]:
+    """A new file `head/.NAME.PID.N.SUFFIX`, open to read and write, with the
+    first N no file holds."""
+    attempt = 0
+    while True:
+        path = os.path.join(head, f".{name}.{os.getpid()}.{attempt}.{suffix}")
+        try:
+            return os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666), path
+        except FileExistsError:
+            attempt += 1
+
+
 @contextmanager
 def _replacing(path: str) -> Iterator[TextIO]:
     """`path` written all or nothing: the block writes a new file beside it,
@@ -63,16 +80,10 @@ def _replacing(path: str) -> Iterator[TextIO]:
             yield sink
         return
     head, name = os.path.split(target)
-    attempt = 0
-    while True:
-        temporary = os.path.join(head, f".{name}.{os.getpid()}.{attempt}.tmp")
-        try:
-            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            attempt += 1
-        except OSError as error:  # named by the target, which the user gave
-            raise OSError(error.errno, error.strerror, path) from None
+    try:
+        fd, temporary = _new_file(head, name, "tmp")
+    except OSError as error:  # named by the target, which the user gave
+        raise OSError(error.errno, error.strerror, path) from None
     try:
         with open(fd, "w", encoding=_ENCODING["w"]) as sink:
             yield sink
@@ -80,6 +91,25 @@ def _replacing(path: str) -> Iterator[TextIO]:
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+@contextmanager
+def _spool(path: str) -> Iterator[TextIO]:
+    """An unnamed file to write and read back: made beside the file
+    `_replacing(path)` writes, or in the system's temporary directory when
+    `path` is not a regular file, and unlinked as soon as it is open, so no
+    exit path leaves it behind."""
+    target = _replaced_target(path)
+    if target is None:
+        import tempfile
+
+        head, name = tempfile.gettempdir(), "udmorph"
+    else:
+        head, name = os.path.split(target)
+    fd, spool_path = _new_file(head, name, "spool")
+    with open(fd, "w+", encoding=_ENCODING["w"], newline="") as spool:
+        os.unlink(spool_path)
+        yield spool
 
 
 def _open_or_stdio(path: str, mode: str = "r") -> AbstractContextManager[TextIO]:
@@ -230,27 +260,32 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             for entry in corrections.read_aux_sidecar(stream):
                 aux_by_sentence.setdefault(entry.sent_id, []).append(entry)
 
-    # the log is opened first, so an unwritable one fails before any output
+    # the log is opened first, so an unwritable one fails before any output;
+    # each sentence's rows go to the spool, as the `# total_tokens` header
+    # that comes first is known only at the end
     log_context = nullcontext() if args.records is None else _replacing(args.records)
-    all_records: list[corrections.CorrectionRecord] = []
+    spool_context = nullcontext() if args.records is None else _spool(args.records)
     total_tokens = 0
     matched: set[str] = set()
-    with log_context as log, _open_or_stdio(args.output, "w") as sink:
+    with log_context as log, spool_context as spool, _open_or_stdio(args.output, "w") as sink:
         for sentence in _stream_sentences(args):
             total_tokens += len(sentence.tokens)
             entries = aux_by_sentence.get(sentence.sent_id or "", [])
-            if entries:
-                matched.add(sentence.sent_id)
+            if entries:  # the sidecar's sent_id, so no string is held per sentence
+                matched.add(entries[0].sent_id)
             corrected, records = corrections.correct_sentence(sentence, entries, pack)
-            if log is not None:
-                all_records.extend(records)
+            if spool is not None:
+                spool.write(corrections.format_log_rows(records))
             conllu.write_conllu([corrected], sink)
         unmatched = [sid for sid in aux_by_sentence if sid not in matched]
         if unmatched:
             count = sum(len(aux_by_sentence[sid]) for sid in unmatched)
             conllu.warn(f"{count} aux entries match no sentence (first sent_id {unmatched[0]!r})")
         if log is not None:
-            corrections.write_records(all_records, total_tokens, log)
+            corrections.write_records((), total_tokens, log)  # the header alone
+            spool.seek(0)
+            while chunk := spool.read(_SPOOL_CHUNK):
+                log.write(chunk)
     return 0
 
 

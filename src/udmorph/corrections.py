@@ -264,18 +264,28 @@ def format_stats(stats: ConversionStats) -> str:
 def write_records(
     records: Sequence[CorrectionRecord], total_tokens: int, sink: TextIO
 ) -> None:
-    """Write the log, or raise before writing anything if a sent_id holds a
-    tab, which would split its row."""
+    """Write the log, or raise before writing anything if `format_log_rows`
+    refuses a record."""
+    rows = format_log_rows(records)
+    sink.write(f"# total_tokens\t{total_tokens}\n")
+    sink.write("# sent_id\ttoken_id\tfield\toriginal\tcorrected\trule_id\n")
+    sink.write(rows)
+
+
+def format_log_rows(records: Iterable[CorrectionRecord]) -> str:
+    """The log rows of `records`; raises if a sent_id holds a tab, which would
+    split its row, or is "_", which the log writes for no sent_id."""
+    rows = []
     for rec in records:
         if "\t" in rec.sent_id:
             raise CorrectionError(f"sent_id {rec.sent_id!r} holds a tab, which splits a log row")
-    sink.write(f"# total_tokens\t{total_tokens}\n")
-    sink.write("# sent_id\ttoken_id\tfield\toriginal\tcorrected\trule_id\n")
-    for rec in records:
-        sink.write(
+        if rec.sent_id == "_":
+            raise CorrectionError("sent_id '_' reads back from a log as no sent_id")
+        rows.append(
             f"{rec.sent_id or '_'}\t{rec.token_id}\t{rec.field}\t"
             f"{rec.original or '_'}\t{rec.corrected or '_'}\t{rec.rule_id}\n"
         )
+    return "".join(rows)
 
 
 def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | None]:
@@ -318,6 +328,9 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
     stream = _text_stream(source)
     entries: list[AuxAnnotation] = []
     first_lines: dict[tuple[str, int], int] = {}
+    # one object per distinct sent_id or label, and per distinct ext_xpos cell
+    strings: dict[str, str] = {}
+    ext_cells: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line or line.startswith("#"):
@@ -328,15 +341,14 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
         sent_id, token_id, ner_label, ext_xpos = fields
         if not sent_id:
             raise CorrectionError("empty sent_id", line=lineno)
-        ext: tuple[str, ...] | None
-        if ext_xpos == "_":
-            ext = None
-        else:
-            ext = tuple(ext_xpos.split("+"))
+        ext = ext_cells.get(ext_xpos)
+        if ext is None and ext_xpos != "_":
+            ext = ext_cells[ext_xpos] = tuple(ext_xpos.split("+"))
             for code in ext:
                 if code not in SEJONG_TAGS:
                     raise CorrectionError(f"unknown XPOS tag {code!r}", line=lineno)
         token_number = _parse_token_id(token_id, lineno)
+        sent_id = strings.setdefault(sent_id, sent_id)
         first = first_lines.setdefault((sent_id, token_number), lineno)
         if first != lineno:
             raise CorrectionError(
@@ -347,7 +359,7 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
             AuxAnnotation(
                 sent_id=sent_id,
                 token_id=token_number,
-                ner_label=None if ner_label == "_" else ner_label,
+                ner_label=None if ner_label == "_" else strings.setdefault(ner_label, ner_label),
                 ext_xpos=ext,
             )
         )

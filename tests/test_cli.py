@@ -7,12 +7,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import udmorph
 from conftest import FIG1_CONLLU, FIG1_FEATS, SEJONG_TREEBANK
-from udmorph.cli import main
+from udmorph.cli import _SPOOL_CHUNK, main
+from udmorph.conllu import SEJONG_TAGS, UdmorphError, parse_conllu
+from udmorph.corrections import correct_sentence, read_aux_sidecar, write_records
 
 
 def _write(path, text):
@@ -248,6 +250,120 @@ def test_correct_warns_about_aux_entries_matching_no_sentence(tmp_path, capsys):
     warnings = capsys.readouterr().err
     assert warnings == "WARNING: 2 aux entries match no sentence (first sent_id 's9')\n"
     assert "s1\t1\t" in log.read_text(encoding="utf-8")
+
+
+@st.composite
+def _treebank_and_aux(draw):
+    """SEJONG_TREEBANK text and an aux sidecar for its named sentences:
+    drawn tokens, labels and ext_xpos cells, some of them shared."""
+    text = draw(SEJONG_TREEBANK)
+    tags = st.lists(st.sampled_from(sorted(SEJONG_TAGS)), min_size=1, max_size=3).map("+".join)
+    rows = {}
+    for sentence in parse_conllu(text):
+        if not sentence.sent_id:
+            continue
+        for token_id in draw(st.sets(st.integers(1, len(sentence.tokens)), max_size=3)):
+            label = draw(st.sampled_from(["_", "PER", "LOC"]))
+            rows[sentence.sent_id, token_id] = f"{label}\t{draw(st.one_of(st.just('_'), tags))}"
+    return text, "".join(f"{sid}\t{tid}\t{cells}\n" for (sid, tid), cells in rows.items())
+
+
+def _verbs_tagged_noun(sentences):
+    """CoNLL-U text of `sentences` sentences of ten VV-based words tagged
+    NOUN: one canonical-upos record per word."""
+    words = "".join(
+        f"{k}\t갔다\t가+았+다\tNOUN\tVV+EP+EF\t_\t{int(k > 1)}\t{'dep' if k > 1 else 'root'}\t_\t_\n"
+        for k in range(1, 11)
+    )
+    return "".join(f"# sent_id = s-{i}\n{words}\n" for i in range(sentences))
+
+
+# a log of 4,000 rows, more than twice the chunk `correct` copies from its spool
+_LONG_LOG_CASE = (
+    _verbs_tagged_noun(400),
+    "".join(f"s-{i}\t2\tPER\tVV+EP+EF\n" for i in range(0, 400, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_treebank_and_aux())
+@example(case=_LONG_LOG_CASE)
+def test_the_spooled_log_equals_the_log_written_in_one_call(pack, case):
+    text, sidecar = case
+    entries_by_sentence = {}
+    for entry in read_aux_sidecar(sidecar):
+        entries_by_sentence.setdefault(entry.sent_id, []).append(entry)
+    records, total_tokens = [], 0
+    expected = io.StringIO()
+    try:
+        for sentence in parse_conllu(text):
+            total_tokens += len(sentence.tokens)
+            entries = entries_by_sentence.get(sentence.sent_id or "", [])
+            records += correct_sentence(sentence, entries, pack)[1]
+        write_records(records, total_tokens, expected)
+    except UdmorphError:
+        expected = None
+    with tempfile.TemporaryDirectory() as workdir:
+        workdir = Path(workdir)
+        argv = ["correct", _write(workdir / "in.conllu", text), "--aux", _write(workdir / "aux.tsv", sidecar)]
+        code = main([*argv, "--records", str(workdir / "log.tsv"), "-o", str(workdir / "out")])
+        if expected is None:
+            assert code == 2
+            return
+        assert code == 0
+        log = (workdir / "log.tsv").read_bytes()
+    assert log == expected.getvalue().encode("utf-8")
+    if case is _LONG_LOG_CASE:
+        assert len(log) > 2 * _SPOOL_CHUNK
+
+
+def test_a_correction_log_that_is_not_a_regular_file_is_written_in_place(tmp_path, monkeypatch):
+    inputs, workdir, temporary = tmp_path / "inputs", tmp_path / "work", tmp_path / "tmp"
+    for directory in (inputs, workdir, temporary):
+        directory.mkdir()
+    src = _write(inputs / "in.conllu", _LONG_LOG_CASE[0])
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(tempfile, "tempdir", str(temporary))
+    assert main(["correct", src, "-o", "plain"]) == 0
+    assert main(["correct", src, "--records", os.devnull, "-o", "logged"]) == 0
+    assert (workdir / "logged").read_bytes() == (workdir / "plain").read_bytes()
+    assert sorted(p.name for p in workdir.iterdir()) == ["logged", "plain"]
+    assert [p.name for p in inputs.iterdir()] == ["in.conllu"]
+    assert list(temporary.iterdir()) == []
+
+
+# Runs `python -m udmorph ARGS` and prints its exit code and ru_maxrss.  It is
+# started with -S and stays small: Linux carries a parent's resident-set
+# high-water mark into its child's ru_maxrss through fork and exec.
+_MAX_RSS = """
+import os, sys
+argv = [sys.executable, "-m", "udmorph", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KB on Linux")
+def test_correct_holds_no_memory_per_correction_record(tmp_path):
+    # 25,000 records, which held until the end cost about 2.5 MB
+    src = _write(tmp_path / "in.conllu", _verbs_tagged_noun(2_500))
+
+    def max_rss_kb(*options):
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", _MAX_RSS, "correct", src, *options, "-o", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        code, rss_kb = map(int, result.stdout.split())
+        assert (code, result.stderr) == (0, "")
+        return rss_kb
+
+    log = tmp_path / "log.tsv"
+    with_log = max_rss_kb("--records", str(log))
+    assert log.read_text(encoding="utf-8").count("\tcanonical-upos\n") >= 20_000
+    assert with_log - max_rss_kb() <= 1024
 
 
 def test_stats_requires_denominator(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SEJONG_TREEBANK, make_sentence
+from udmorph.cli import main
 from udmorph.conllu import SEJONG_TAGS, Token, parse_conllu, serialize_conllu, validate
 from udmorph.corrections import (
     AuxAnnotation,
@@ -321,6 +322,19 @@ def test_log_refuses_a_sent_id_holding_a_tab_before_writing_anything():
     with pytest.raises(CorrectionError, match=r"sent_id 'a\\tb' holds a tab"):
         write_records(records, 2, sink)
     assert sink.getvalue() == ""
+
+
+def test_log_refuses_a_sent_id_of_one_underscore_which_reads_back_as_none(tmp_path, capsys):
+    sink = io.StringIO()
+    with pytest.raises(CorrectionError, match=r"^sent_id '_' reads back from a log as no sent_id$"):
+        write_records([CorrectionRecord("_", 1, "UPOS", "NOUN", "VERB", "r")], 1, sink)
+    assert sink.getvalue() == ""
+    src = tmp_path / "in.conllu"
+    src.write_text("# sent_id = _\n1\t가고\t가+고\tNOUN\tVV+EC\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
+    argv = ["correct", str(src), "--records", str(tmp_path / "log.tsv"), "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "udmorph correct: sent_id '_' reads back from a log as no sent_id\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.conllu"]
 
 
 def test_sidecar_parsing():

@@ -4,14 +4,18 @@ Data flows on stdout, diagnostics and `WARNING: <message>` lines
 (`conllu.warn`) on stderr, so stages compose in shell pipelines
 (`udmorph enrich x.conllu | udmorph correct - | ...`).  Every input
 argument reads stdin for `-`, at most one per command.  Sentences stream one
-at a time in every command, `eval`'s gold and predictions in step.  `correct`
-holds its aux sidecar, one object per distinct cell, and nothing per
-correction record: `--records` spools each sentence's log rows to an unnamed
-file and copies them after the `# total_tokens` header, which comes first
-but is known only at the end.  Outputs are byte-deterministic for
-identical inputs.  A named output (`-o FILE`, `--records FILE`) is written
-all or nothing (`_replacing`); stdout cannot be.  Exit codes:
-0 success, 1 validation failure, 2 I/O or format error.
+at a time in every command, `eval`'s gold and predictions in step.  Besides
+the bounded memos, each command holds one sentence (`eval` one gold sentence
+and one prediction block), `enrich` and `correct` the rule pack, and `stats`
+the log it reads.  `correct` also holds its aux sidecar, one object per
+distinct cell, and nothing per correction record: `--records` spools each
+sentence's log rows to an unnamed file and copies them after the
+`# total_tokens` header, which comes first but is known only at the end.  So
+no command's memory grows with the corpus but `correct`'s, by its sidecar.
+Outputs are byte-deterministic for identical inputs.  A named output
+(`-o FILE`, `--records FILE`) is written all or nothing (`_replacing`);
+stdout cannot be.  Exit codes: 0 success, 1 validation failure, 2 I/O or
+format error.
 
 Each `_cmd_*` imports only the stages it runs and calls them through their
 module (`rules.enrich_sentence`), so a swapped module attribute sees every call.
@@ -35,7 +39,9 @@ RULES_ENV_VAR = "UDMORPH_RULES"
 _ENCODING = {"r": "utf-8-sig", "w": "utf-8"}
 
 # Characters `correct` copies from its spool to the correction log per read.
-_SPOOL_CHUNK = 1 << 16
+# The copy comes last, when the process is at its largest, so it reads
+# little at a time: 8k characters take at most 32 KB as a string.
+_SPOOL_CHUNK = 1 << 13
 
 # Input arguments that name one file each; `inputs` names any number.
 _SINGLE_INPUTS = ("input", "gold", "predictions", "rules", "aux")

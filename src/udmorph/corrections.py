@@ -179,13 +179,16 @@ def correct_token(
 def correct_sentence(
     sentence: Sentence, aux: Sequence[AuxAnnotation], pack: RulePack
 ) -> tuple[Sentence, list[CorrectionRecord]]:
-    """Apply every correction rule; returns the new sentence and its records."""
+    """Apply every correction rule; returns the new sentence, `sentence`
+    itself when no rule changed it, and its records."""
     sid = sentence.sent_id or ""
     aux_by_token: dict[int, AuxAnnotation] = {}
-    valid_ids = {t.id for t in sentence.tokens}
+    valid_ids = None  # built for the first entry of this sentence, if any
     for entry in aux:
         if entry.sent_id != sid:
             continue
+        if valid_ids is None:
+            valid_ids = {t.id for t in sentence.tokens}
         if entry.token_id not in valid_ids:
             raise CorrectionError(
                 f"aux annotation references missing token {entry.sent_id}:{entry.token_id}"
@@ -193,11 +196,16 @@ def correct_sentence(
         aux_by_token[entry.token_id] = entry
 
     records: list[CorrectionRecord] = []
-    tokens = tuple(
+    tokens = [
         correct_token(token, sentence, aux_by_token.get(token.id), pack, records, sid)
         for token in sentence.tokens
-    )
-    return Sentence(sentence.comments, tokens, sentence.extras), records
+    ]
+    if not records:  # no token changed
+        return sentence, records
+    # from a list, at its final size: `tuple()` of a generator resizes a
+    # 10-slot tuple, and each one that dies stays in CPython's free list of
+    # its final size, up to 2,000 per size, a stock that grows with the input
+    return Sentence(sentence.comments, tuple(tokens), sentence.extras), records
 
 
 def apply_records(sentence: Sentence, records: Iterable[CorrectionRecord]) -> Sentence:
@@ -274,13 +282,18 @@ def write_records(
 
 def format_log_rows(records: Iterable[CorrectionRecord]) -> str:
     """The log rows of `records`; raises if a sent_id holds a tab, which would
-    split its row, or is "_", which the log writes for no sent_id."""
+    split its row, is "_", which the log writes for no sent_id, or starts
+    with "#", which makes its row read back as a comment."""
     rows = []
     for rec in records:
         if "\t" in rec.sent_id:
             raise CorrectionError(f"sent_id {rec.sent_id!r} holds a tab, which splits a log row")
         if rec.sent_id == "_":
             raise CorrectionError("sent_id '_' reads back from a log as no sent_id")
+        if rec.sent_id.startswith("#"):
+            raise CorrectionError(
+                f"sent_id {rec.sent_id!r} starts with '#', which reads back from a log as a comment"
+            )
         rows.append(
             f"{rec.sent_id or '_'}\t{rec.token_id}\t{rec.field}\t"
             f"{rec.original or '_'}\t{rec.corrected or '_'}\t{rec.rule_id}\n"
@@ -327,7 +340,10 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
     the CLI reads a file."""
     stream = _text_stream(source)
     entries: list[AuxAnnotation] = []
-    first_lines: dict[tuple[str, int], int] = {}
+    # "token_id<TAB>sent_id" -> line: a string key, freed to the allocator,
+    # where a (sent_id, token_id) tuple would stay in the interpreter's
+    # 2-tuple free list after the read
+    first_lines: dict[str, int] = {}
     # one object per distinct sent_id or label, and per distinct ext_xpos cell
     strings: dict[str, str] = {}
     ext_cells: dict[str, tuple[str, ...]] = {}
@@ -349,7 +365,7 @@ def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:
                     raise CorrectionError(f"unknown XPOS tag {code!r}", line=lineno)
         token_number = _parse_token_id(token_id, lineno)
         sent_id = strings.setdefault(sent_id, sent_id)
-        first = first_lines.setdefault((sent_id, token_number), lineno)
+        first = first_lines.setdefault(f"{token_number}\t{sent_id}", lineno)
         if first != lineno:
             raise CorrectionError(
                 f"second aux entry for token {sent_id}:{token_number} (first on line {first})",

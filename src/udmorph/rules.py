@@ -178,8 +178,10 @@ class RulePack:
 
     def candidates(self, tags: frozenset[str]) -> tuple[Rule, ...]:
         """The rules anchored on any of `tags`, in pack order."""
+        # each tuple on a per-word path is built from a list, at its final
+        # size (see `corrections.correct_sentence`)
         positions = {p for tag in tags for p in self._positions_by_tag.get(tag, ())}
-        return tuple(self.rules[p] for p in sorted(positions))
+        return tuple([self.rules[p] for p in sorted(positions)])
 
     def _resolve(self, morphemes: tuple[Morpheme, ...]) -> Verdict:
         """The verdict for a word's morphemes; `verdict` is its per-pack memo."""
@@ -212,7 +214,7 @@ class RulePack:
 
 def _emitted(winners: tuple[tuple[str, Rule], ...]) -> tuple[tuple[str, str], ...]:
     """Each winning rule's (key, value) emissions for the key it won."""
-    return tuple((feature, v) for feature, rule in winners for k, v in rule.emits if k == feature)
+    return tuple([(feature, v) for feature, rule in winners for k, v in rule.emits if k == feature])
 
 
 def _bag_of(emitted: tuple[tuple[str, str], ...]) -> FeatureBag:

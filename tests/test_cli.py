@@ -366,6 +366,41 @@ def test_correct_holds_no_memory_per_correction_record(tmp_path):
     assert with_log - max_rss_kb() <= 1024
 
 
+def _verbs_tagged_noun_of_each_length(sentences):
+    """CoNLL-U text of `sentences` sentences of 1 to 20 VV-based words, in
+    turn, tagged NOUN, so `correct` rebuilds every sentence."""
+    return "".join(
+        f"# sent_id = s-{i}\n"
+        + "".join(
+            f"{k}\t갔다\t가+았+다\tNOUN\tVV+EP+EF\t_\t{int(k > 1)}\t{'dep' if k > 1 else 'root'}\t_\t_\n"
+            for k in range(1, 2 + i % 20)
+        )
+        + "\n"
+        for i in range(sentences)
+    )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KB on Linux")
+def test_correct_holds_no_memory_per_sentence(tmp_path):
+    # a sentence rebuilt through `tuple()` of a generator leaves a block in
+    # CPython's free list of its length, about 0.5 MB more for the 4x input
+    def max_rss_kb(sentences):
+        src = _write(tmp_path / "in.conllu", _verbs_tagged_noun_of_each_length(sentences))
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", _MAX_RSS, "correct", src, "-o", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        code, rss_kb = map(int, result.stdout.split())
+        assert (code, result.stderr) == (0, "")
+        return rss_kb
+
+    once = max_rss_kb(1_500)
+    assert max_rss_kb(6_000) - once <= 256
+
+
 def test_stats_requires_denominator(tmp_path, capsys):
     log = _write(tmp_path / "records.tsv", "s1\t1\tUPOS\tADV\tNOUN\tr\n")
     assert main(["stats", log]) == 2

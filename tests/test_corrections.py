@@ -1,6 +1,8 @@
+import gc
 import io
 import pickle
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,66 @@ def test_log_refuses_a_sent_id_of_one_underscore_which_reads_back_as_none(tmp_pa
     assert main(argv) == 2
     assert capsys.readouterr().err == "udmorph correct: sent_id '_' reads back from a log as no sent_id\n"
     assert [p.name for p in tmp_path.iterdir()] == ["in.conllu"]
+
+
+def test_log_refuses_a_sent_id_that_starts_with_a_hash_which_reads_back_as_a_comment(tmp_path, capsys):
+    message = "sent_id '#s1' starts with '#', which reads back from a log as a comment"
+    sink = io.StringIO()
+    with pytest.raises(CorrectionError, match=f"^{re.escape(message)}$"):
+        write_records([CorrectionRecord("#s1", 1, "UPOS", "NOUN", "VERB", "r")], 1, sink)
+    assert sink.getvalue() == ""
+    src = tmp_path / "in.conllu"
+    src.write_text("# sent_id = #s1\n1\t먹어\t먹+어\tNOUN\tVV+EC\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
+    argv = ["correct", str(src), "--records", str(tmp_path / "log.tsv"), "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"udmorph correct: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.conllu"]
+
+
+# the first word is tagged ADV, which `correct` retags NOUN, so every
+# sentence is rebuilt; the others match word-internal and lookahead rules
+_GUARD_WORDS = (
+    ("가격에", "가격+에", "NNG+JKB", "ADV"),
+    ("먹어", "먹+어", "VV+EC", "VERB"),
+    ("버렸다", "버리+었+다", "VX+EP+EF", "AUX"),
+    ("하고", "하+고", "VV+EC", "VERB"),
+    ("있다", "있+다", "VX+EF", "AUX"),
+    ("비가", "비+가", "NNG+JKS", "NOUN"),
+    ("오면", "오+면", "VV+EC", "VERB"),
+    ("갈게", "가+ㄹ게", "VV+EF", "VERB"),
+)
+
+
+def test_correct_and_enrich_hold_no_memory_per_sentence(pack):
+    # CPython keeps up to 2,000 freed tuples of each size from 1 to 20 for
+    # reuse.  `tuple()` of a generator starts at 10 slots and resizes, so
+    # each sentence of another length would leave a block in its size's stock.
+    sentences = [
+        make_sentence(
+            [_GUARD_WORDS[0]] + [_GUARD_WORDS[1 + (i + k) % 7] for k in range(i % 20)],
+            sent_id=f"s{i}",
+        )
+        for i in range(3_000)
+    ]
+
+    def run():
+        for sentence in sentences:
+            correct_sentence(sentence, [], pack)
+            enrich_sentence(sentence, pack)
+
+    # a full collection empties the stocks, so none runs from here on
+    gc.collect()
+    gc.disable()
+    try:
+        run()  # fills the memos
+        before = sys.getallocatedblocks()
+        run()
+        growth = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    # CPython 3.11 and 3.12 never reuse a freed 20-item tuple, so up to three
+    # blocks per 20-token sentence (150 of them) stay in that size's stock
+    assert growth < 600
 
 
 def test_sidecar_parsing():

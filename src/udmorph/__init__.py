@@ -14,7 +14,7 @@ _EXPORTS = {
     "corrections": "AuxAnnotation ConversionStats CorrectionRecord aggregate_stats correct_sentence",
     "evaluate": "DeltaReport EvalReport compare score",
     "itdata": "ITRecord ParsedRow emit_jsonl from_it_output to_it_record",
-    "rules": "Rule RulePack assign_features enrich_sentence load_default_pack load_rule_pack",
+    "rules": "Rule RulePack enrich_sentence load_default_pack load_rule_pack",
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

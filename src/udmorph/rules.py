@@ -16,13 +16,16 @@ pass 2 - periphrastic rules with a lookahead window of two syntactic words,
          being overwritten).
 
 Everything but the lookahead window depends on a word's morphemes alone, so
-each pack resolves them once into a `Verdict` (pass-1 winners and their bag,
-the lookahead rules its word pattern matches, the ending transcription, the
-functional-word list its class selects, its first morpheme for a
-neighbour's window).  `assign_features` looks up each word's verdict and
-resolves its lookahead window against the next words' verdicts, in one loop
-over the sentence.  Verdicts, and bags shared per set of emitted values,
-are kept in per-pack LRU caches of at most `MEMO_SIZE` entries.
+each pack resolves them once into a `Verdict` (pass-1 winners, the bag the
+word gets unless a lookahead rule fires, the lookahead rules its word
+pattern matches, the functional-word list its class selects, its first
+morpheme for a neighbour's window).  That bag is the winners', or, when no
+word-internal rule matches, the transcription of a word-final conjunctive
+ending (`Case=<romanized ending>`).  `enrich_sentence` looks up each word's
+verdict once and, in one loop over the sentence, resolves its lookahead
+window against the next words' verdicts and sets its functional flag.
+Verdicts, and bags shared per set of emitted values, are kept in per-pack
+LRU caches of at most `MEMO_SIZE` entries.
 """
 
 from __future__ import annotations
@@ -127,9 +130,8 @@ class Verdict(NamedTuple):
 
     first: Morpheme | None  # the first morpheme, seen by a preceding word's lookahead
     winners: tuple[tuple[str, Rule], ...]  # per feature key, the word-internal winner
-    bag: FeatureBag  # the winners' bag
+    bag: FeatureBag  # the winners' bag, or the transcription when there are none
     lookahead: tuple[Rule, ...]  # lookahead rules whose word pattern matches, pack order
-    ending: FeatureBag | None  # the transcription, when no word-internal rule matches
     functional: frozenset[str]  # the functional words of a one-morpheme word's class
 
 
@@ -195,19 +197,13 @@ class RulePack:
             else:
                 for key, _ in rule.emits:
                     winners.setdefault(key, rule)
-        ending = None
-        if not winners:
-            transcription = _ending_transcription(morphemes)
-            if transcription is not None:
-                # the parsed cell's bag, shared by every equal ending and FEATS cell
-                ending = FeatureBag.from_conllu("=".join(transcription))
         pairs = tuple(winners.items())
+        ending = None if pairs else _ending_transcription(morphemes)
         return Verdict(
             first=morphemes[0] if morphemes else None,
             winners=pairs,
-            bag=self._winners_bag(_emitted(pairs)),
+            bag=self._winners_bag(_emitted(pairs)) if ending is None else ending,
             lookahead=tuple(lookahead),
-            ending=ending,
             functional=_functional_class(morphemes, self),
         )
 
@@ -433,36 +429,15 @@ def _context_matches(rule: Rule, window: list[Morpheme]) -> bool:
     )
 
 
-def assign_features(sentence: Sentence, pack: RulePack) -> Sentence:
-    """Replace every token's feature bag with the rules' verdict: the
-    word-internal bag, extended by the lookahead rules whose window matches
-    (per feature key the first in pack order wins)."""
-    verdicts = [pack.verdict(token.morphemes) for token in sentence.tokens]
-    tokens = []
-    for i, token in enumerate(sentence.tokens):
-        verdict = verdicts[i]
-        bag = verdict.bag
-        if verdict.lookahead:
-            window = [v.first for v in verdicts[i + 1 : i + 3] if v.first is not None]
-            context: dict[str, Rule] = {}
-            for rule in verdict.lookahead:
-                if _context_matches(rule, window):
-                    for key, _ in rule.emits:
-                        context.setdefault(key, rule)
-            if context:
-                bag = pack._winners_bag(_emitted(verdict.winners + tuple(context.items())))
-        tokens.append(token.with_feats(bag))
-    return Sentence(sentence.comments, tuple(tokens), sentence.extras)
-
-
-def _ending_transcription(morphemes: tuple[Morpheme, ...]) -> tuple[str, str] | None:
-    """Surface transcription of a word-final conjunctive ending.  Characters
-    that a FEATS value cannot hold are dropped; an ending with nothing left
-    gets no transcription."""
+def _ending_transcription(morphemes: tuple[Morpheme, ...]) -> FeatureBag | None:
+    """`Case=<romanized surface>` of a word-final conjunctive ending, the
+    parsed cell's bag, shared by every equal ending and FEATS cell.
+    Characters that a FEATS value cannot hold are dropped; an ending with
+    nothing left gets no transcription."""
     if not morphemes or morphemes[-1].tag != "EC":
         return None
     value = _NON_FEAT_CHARS.sub("", romanize(morphemes[-1].surface))
-    return ("Case", value) if value else None
+    return FeatureBag.from_conllu(f"Case={value}") if value else None
 
 
 def _functional_class(morphemes: tuple[Morpheme, ...], pack: RulePack) -> frozenset[str]:
@@ -483,15 +458,28 @@ def _misc_with_flag(misc: str, key: str, value: str) -> str:
 
 
 def enrich_sentence(sentence: Sentence, pack: RulePack) -> Sentence:
-    """Full enrichment: rule features, ending transcription, functional flags."""
-    enriched = assign_features(sentence, pack)
-    tokens = list(enriched.tokens)
-    for i, token in enumerate(enriched.tokens):
-        verdict = pack.verdict(token.morphemes)
-        if verdict.ending is not None and not token.feats:
-            tokens[i] = token = token.with_feats(verdict.ending)
+    """Replace every token's feature bag with the rules' verdict and flag the
+    functional words.  A token gets its verdict's bag, unless lookahead rules
+    whose window matches fire: then the word-internal winners' bag, extended
+    by theirs (per feature key the first in pack order wins)."""
+    verdicts = [pack.verdict(token.morphemes) for token in sentence.tokens]
+    tokens = []
+    for i, token in enumerate(sentence.tokens):
+        verdict = verdicts[i]
+        bag = verdict.bag
+        if verdict.lookahead:
+            window = [v.first for v in verdicts[i + 1 : i + 3] if v.first is not None]
+            context: dict[str, Rule] = {}
+            for rule in verdict.lookahead:
+                if _context_matches(rule, window):
+                    for key, _ in rule.emits:
+                        context.setdefault(key, rule)
+            if context:
+                bag = pack._winners_bag(_emitted(verdict.winners + tuple(context.items())))
+        token = token.with_feats(bag)
         if token.form in verdict.functional:
             misc = _misc_with_flag(token.misc, "Functional", "Yes")
             if misc != token.misc:
-                tokens[i] = token.with_misc(misc)
-    return Sentence(enriched.comments, tuple(tokens), enriched.extras)
+                token = token.with_misc(misc)
+        tokens.append(token)
+    return Sentence(sentence.comments, tuple(tokens), sentence.extras)

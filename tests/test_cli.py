@@ -750,7 +750,6 @@ def test_the_public_names_resolve_on_first_use():
         "Sentence",
         "Token",
         "aggregate_stats",
-        "assign_features",
         "compare",
         "correct_sentence",
         "emit_jsonl",

@@ -53,6 +53,28 @@ def test_parse_then_serialize_is_the_identity(text):
     assert serialize_conllu(parse_conllu(text)) == text
 
 
+@settings(max_examples=100, deadline=None)
+@given(text=SEJONG_TREEBANK)
+def test_a_last_sentence_without_its_closing_blank_line_parses_as_with_it(text):
+    expected = parse_conllu(text)
+    for end in ("", "\n"):
+        assert parse_conllu(text.rstrip("\n") + end) == expected
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+def test_a_trailing_block_of_comments_alone_is_a_sentence_without_token_lines(tmp_path, capsys, end):
+    from udmorph.cli import main
+
+    text = FIG1_CONLLU + "# sent_id = orphan\n# text = 없음" + end
+    message = f"line {len(text.splitlines()) + 1}: sentence without token lines"
+    with pytest.raises(ConlluError, match=f"^{message}$"):
+        list(conllu.iter_sentences(text))
+    path = tmp_path / "in.conllu"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"udmorph validate: {path}: {message}\n"
+
+
 def test_column_count_error_names_line():
     bad = "# sent_id = x\n1\t학교\t학교\tNOUN\tNNG\t_\t0\troot\n\n"
     with pytest.raises(ConlluError, match=r"line 2.*10 tab-separated columns, got 8"):

@@ -1,11 +1,12 @@
-"""The rewritten parse, prediction reader and `validate` against the versions
-they replaced, kept here as they were: on any input each must give the same
-result, or the same error text and line, or the same diagnostics in the
-same order.  The old versions call the helpers the rewrite left as they
-were (`_split_plus`, `_misalignment`, `_parse_feats`, `_id_error`,
-`_long_int`) from the package."""
+"""The rewritten parse, prediction reader, `validate` and `enrich_sentence`
+against the versions they replaced, kept here as they were: on any input
+each must give the same result, or the same error text and line, or the
+same diagnostics in the same order.  The old versions call the helpers the
+rewrite left as they were (`_split_plus`, `_misalignment`, `_parse_feats`,
+`_id_error`, `_long_int`, `_context_matches`, `_emitted`) from the package."""
 
 import contextlib
+import copy
 import io
 
 from hypothesis import example, given, settings
@@ -35,6 +36,14 @@ from udmorph.conllu import (
     _split_plus,
 )
 from udmorph.itdata import _INT_RE, _MAX_DIGITS, _SMALL_INT_BOUND, ParsedRow, _long_int
+from udmorph.romanize import romanize
+from udmorph.rules import (
+    _NON_FEAT_CHARS,
+    _context_matches,
+    _emitted,
+    _misc_with_flag,
+    enrich_sentence,
+)
 
 
 def _old_token_cells(lemma, upos, xpos, feats, lenient):
@@ -233,6 +242,49 @@ def _old_validate(sentences, start=1):
     return diagnostics
 
 
+def _old_ending_transcription(morphemes):
+    if not morphemes or morphemes[-1].tag != "EC":
+        return None
+    value = _NON_FEAT_CHARS.sub("", romanize(morphemes[-1].surface))
+    return ("Case", value) if value else None
+
+
+def _old_assign_features(sentence, pack):
+    verdicts = [pack.verdict(token.morphemes) for token in sentence.tokens]
+    tokens = []
+    for i, token in enumerate(sentence.tokens):
+        verdict = verdicts[i]
+        bag = pack._winners_bag(_emitted(verdict.winners))  # the old `Verdict.bag`
+        if verdict.lookahead:
+            window = [v.first for v in verdicts[i + 1 : i + 3] if v.first is not None]
+            context = {}
+            for rule in verdict.lookahead:
+                if _context_matches(rule, window):
+                    for key, _ in rule.emits:
+                        context.setdefault(key, rule)
+            if context:
+                bag = pack._winners_bag(_emitted(verdict.winners + tuple(context.items())))
+        tokens.append(token.with_feats(bag))
+    return Sentence(sentence.comments, tuple(tokens), sentence.extras)
+
+
+def _old_enrich_sentence(sentence, pack):
+    enriched = _old_assign_features(sentence, pack)
+    tokens = list(enriched.tokens)
+    for i, token in enumerate(enriched.tokens):
+        verdict = pack.verdict(token.morphemes)
+        # the old `Verdict.ending`
+        transcription = None if verdict.winners else _old_ending_transcription(token.morphemes)
+        ending = None if transcription is None else FeatureBag.from_conllu("=".join(transcription))
+        if ending is not None and not token.feats:
+            tokens[i] = token = token.with_feats(ending)
+        if token.form in verdict.functional:
+            misc = _misc_with_flag(token.misc, "Functional", "Yes")
+            if misc != token.misc:
+                tokens[i] = token.with_misc(misc)
+    return Sentence(enriched.comments, tuple(tokens), enriched.extras)
+
+
 # -- parse ------------------------------------------------------------------
 
 _LONG_ID = "9" * 30
@@ -402,3 +454,18 @@ _HEAD_MAPS = st.dictionaries(st.integers(0, 9), st.one_of(st.none(), st.integers
 @example(heads={0: 1, 1: 0, 2: 0})  # a token id 0
 def test_the_cycle_walker_gives_the_entries_the_list_and_set_walker_gave(heads):
     assert _cycle_entries(heads) == _old_cycle_entries(heads)
+
+
+# -- enrich -----------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SEJONG_TREEBANK)
+def test_enrich_gives_what_the_two_loop_enrich_gave(pack, text):
+    # `pack` is shared by every example, so its memos hold earlier examples' shapes
+    for sentence in conllu.parse_conllu(text):
+        expected = _old_enrich_sentence(sentence, copy.copy(pack))  # a copy starts empty
+        assert enrich_sentence(sentence, copy.copy(pack)) == expected
+        once = enrich_sentence(sentence, pack)
+        assert once == expected
+        assert enrich_sentence(once, pack) == _old_enrich_sentence(once, copy.copy(pack))

@@ -2,19 +2,19 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_FIXTURES, HANGUL, SEGMENT_CHARS, SEJONG_TREEBANK, make_sentence
 from udmorph import conllu
 from udmorph.conllu import MEMO_SIZE, FeatureBag, Token, parse_conllu, serialize_conllu, validate
 from udmorph.corrections import correct_sentence
+from udmorph.romanize import romanize
 from udmorph.rules import (
     PACK_HEADER,
     MorphPattern,
     RulePack,
     RulePackError,
-    assign_features,
     enrich_sentence,
     load_default_pack,
     load_rule_pack,
@@ -31,13 +31,15 @@ def _with_rules(pack, rules):
 
 
 def _ending(pack, lemma, xpos):
-    """The ending transcription the pack resolves for a word shape."""
-    return pack.verdict(_token(lemma.replace("+", ""), lemma, xpos).morphemes).ending
+    """The ending transcription the pack resolves for a word shape: the bag
+    of its verdict when that has no winners, or None."""
+    verdict = pack.verdict(_token(lemma.replace("+", ""), lemma, xpos).morphemes)
+    return None if verdict.winners else verdict.bag or None
 
 
 def _features_of(pack, words, index=0):
     sentence = make_sentence(words)
-    return assign_features(sentence, pack).tokens[index].feats
+    return enrich_sentence(sentence, pack).tokens[index].feats
 
 
 # ---------------------------------------------------------------- pack loading
@@ -219,25 +221,14 @@ def test_assignment_replaces_gold_features(pack):
     )
     sentence = make_sentence([("학교", "학교", "NNG", "NOUN")])
     sentence = sentence._replace(tokens=(token,))
-    assert assign_features(sentence, pack).tokens[0].feats == FeatureBag()
+    assert enrich_sentence(sentence, pack).tokens[0].feats == FeatureBag()
 
 
 def test_assignment_is_idempotent(pack):
     for _, words, _, _, _ in FAMILY_FIXTURES:
         sentence = make_sentence(words)
-        once = assign_features(sentence, pack)
-        assert assign_features(once, pack) == once
-
-
-def test_disabling_context_pass_never_removes_internal_output(pack):
-    internal_only = _with_rules(pack, (r for r in pack.rules if not r.context))
-    for _, words, _, _, _ in FAMILY_FIXTURES:
-        sentence = make_sentence(words)
-        partial = assign_features(sentence, internal_only)
-        full = assign_features(sentence, pack)
-        for token_partial, token_full in zip(partial.tokens, full.tokens):
-            for key, values in token_partial.feats.items():
-                assert set(values) <= set(token_full.feats.get(key))
+        once = enrich_sentence(sentence, pack)
+        assert enrich_sentence(once, pack) == once
 
 
 def _reference_context_matches(rule, tokens, index):
@@ -275,8 +266,18 @@ def _reference_feats(sentence, pack):
     return bags
 
 
+def _reference_ending(morphemes):
+    """`Case=<romanized surface>` of a word-final EC, characters outside
+    [A-Za-z0-9] dropped; an empty bag when there is none or nothing is left."""
+    if morphemes and morphemes[-1].tag == "EC":
+        value = "".join(c for c in romanize(morphemes[-1].surface) if c.isascii() and c.isalnum())
+        if value:
+            return FeatureBag({"Case": [value]})
+    return FeatureBag()
+
+
 def _pack_sentences(pack):
-    """1-4 words built from the pack's own surfaces and tags.
+    """Sentences of 1-4 words built from the pack's own surfaces and tags.
 
     A word holds 1-3 pieces: the prev and anchor morphemes of a rule, a
     morpheme a lookahead slot accepts, or any pack surface with any pack tag.
@@ -316,25 +317,53 @@ def _pack_sentences(pack):
 
     lookahead = st.sampled_from([r for r in pack.rules if r.context]).flatmap(with_window)
     chunk = st.one_of(word.map(lambda w: [w]), lookahead)
-    return st.lists(chunk, min_size=1, max_size=3).map(lambda cs: [w for c in cs for w in c][:4])
+    return st.lists(chunk, min_size=1, max_size=3).map(
+        lambda cs: make_sentence(
+            [
+                ("".join(s for s, _ in w), "+".join(s for s, _ in w), "+".join(t for _, t in w), "X")
+                for w in [w for c in cs for w in c][:4]
+            ]
+        )
+    )
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_single_pass_matches_two_scan_resolver_in_any_rule_order(pack, data):
-    words = data.draw(_pack_sentences(pack))
-    sentence = make_sentence(
-        [
-            ("".join(s for s, _ in w), "+".join(s for s, _ in w), "+".join(t for _, t in w), "X")
-            for w in words
-        ]
-    )
-    feats = [t.feats for t in assign_features(sentence, pack).tokens]
-    assert feats == _reference_feats(sentence, pack)
+    sentence = data.draw(_pack_sentences(pack))
+    feats = [t.feats for t in enrich_sentence(sentence, pack).tokens]
+    # a word no rule gives a feature gets its ending's transcription
+    assert feats == [
+        bag or _reference_ending(token.morphemes)
+        for bag, token in zip(_reference_feats(sentence, pack), sentence.tokens)
+    ]
 
     shuffled = _with_rules(pack, data.draw(st.permutations(pack.rules)))
     assert shuffled.rules == pack.rules
-    assert [t.feats for t in assign_features(sentence, shuffled).tokens] == feats
+    assert [t.feats for t in enrich_sentence(sentence, shuffled).tokens] == feats
+
+
+_PACK = load_default_pack()
+_INTERNAL_ONLY = _with_rules(_PACK, (r for r in _PACK.rules if not r.context))
+
+
+def _with_fixture_examples(test):
+    """`test` with each FAMILY_FIXTURES sentence as an explicit example."""
+    for _, words, *_ in FAMILY_FIXTURES:
+        test = example(sentence=make_sentence(words))(test)
+    return test
+
+
+@_with_fixture_examples
+@settings(max_examples=300, deadline=None)
+@given(sentence=_pack_sentences(_PACK))
+def test_disabling_context_pass_never_removes_internal_output(sentence):
+    # every (key, value) a word-internal winner emits, with the lookahead
+    # rules left out of the pack, is in the FEATS the whole pack gives
+    for token in enrich_sentence(sentence, _PACK).tokens:
+        for key, rule in _INTERNAL_ONLY.verdict(token.morphemes).winners:
+            for k, value in rule.emits:
+                assert k != key or value in token.feats.get(key)
 
 
 @settings(max_examples=300, deadline=None)
@@ -393,6 +422,18 @@ def test_enrich_splits_each_word_shapes_morphemes_once(pack, monkeypatch):
     split_shapes = list(zip(calls[::2], calls[1::2]))
     assert len(split_shapes) == len(set(split_shapes))
     assert _shapes(enriched) < set(split_shapes) < _shapes(enriched) | _shapes(corrected)
+
+
+def test_enrich_looks_up_each_tokens_verdict_and_morphemes_once(pack):
+    sentences = [make_sentence(words) for _, words, *_ in FAMILY_FIXTURES]
+    conllu._morphemes.cache_clear()
+    fresh = _fresh(pack)
+    for sentence in sentences:
+        enrich_sentence(sentence, fresh)
+    tokens = sum(len(s.tokens) for s in sentences)
+    for memo in (fresh.verdict, conllu._morphemes):
+        info = memo.cache_info()
+        assert info.hits + info.misses == tokens
 
 
 def test_verdict_memo_stays_within_its_bound(pack):

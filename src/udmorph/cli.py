@@ -299,12 +299,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from . import corrections
 
     with _open_or_stdio(args.input) as stream:
-        records, total = corrections.read_records(stream)
-    if args.total_tokens is not None:
-        total = args.total_tokens
-    if total is None:
-        raise corrections.CorrectionError("no total_tokens header in the log; pass --total-tokens")
-    stats = corrections.aggregate_stats(records, total)
+        stats = corrections.log_stats(stream, args.total_tokens)
     with _open_or_stdio(args.output, "w") as sink:
         sink.write(corrections.format_stats(stats))
     return 0

@@ -11,7 +11,8 @@ every token of that shape.  Every memo in the
 package is an LRU cache bounded by `MEMO_SIZE`.
 Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
 and excluded from the token list and from all structural checks.
-`write_conllu` renders a sentence whole and writes it with one `write`.
+`write_conllu` renders each token row with one f-string from the token's
+unpacked values and writes a sentence whole with one `write`.
 Every reader in the package but the predictions reader takes a `str` as
 `_text_stream` gives it: with universal newlines, as the CLI reads a file.
 """
@@ -247,8 +248,9 @@ class Token(NamedTuple):
     A record like every other: copied with changes by `token._replace(...)`,
     and equal to the plain tuple of its ten values.  Parse, `with_feats` and
     `with_misc` build it with `_new_tuple(Token, values)`, which gives the
-    same record; they and `validate`, which unpacks it, are the only code
-    that knows the field positions."""
+    same record; they, and `validate` and the two row writers,
+    `write_conllu` and `itdata.to_it_record`, which unpack it, are the only
+    code that knows the field positions."""
 
     id: int
     form: str
@@ -475,22 +477,6 @@ def parse_conllu(source: str | TextIO, *, lenient: bool = False) -> list[Sentenc
     return list(iter_sentences(source, lenient=lenient))
 
 
-def token_columns(token: Token) -> tuple[str, ...]:
-    """The token's ten CoNLL-U cells, an empty value written `_`."""
-    return (
-        str(token.id),
-        token.form,
-        token.lemma or "_",
-        token.upos or "_",
-        token.xpos or "_",
-        token.feats.to_conllu(),
-        "_" if token.head is None else str(token.head),
-        token.deprel or "_",
-        token.deps,
-        token.misc,
-    )
-
-
 def serialize_conllu(sentences: Iterable[Sentence]) -> str:
     out = io.StringIO()
     write_conllu(sentences, out)
@@ -499,24 +485,36 @@ def serialize_conllu(sentences: Iterable[Sentence]) -> str:
 
 def write_conllu(sentences: Iterable[Sentence], sink: TextIO) -> None:
     """Write each sentence with one `write`: its comments, then each extra
-    line before the token it precedes, then the token's cells, then the
-    blank line that ends it.  An extra at `len(tokens)` follows the last
-    token; one at an index outside 0..len(tokens) raises `ConlluError`
-    before its sentence is written."""
-    for sentence in sentences:
-        lines = list(sentence.comments)
-        n = len(sentence.tokens)
-        before: dict[int, list[str]] = {}
-        for index, raw in sentence.extras:
-            if not 0 <= index <= n:
-                raise ConlluError(f"extra line at index {index} outside 0..{n}: {raw!r}")
-            before.setdefault(index, []).append(raw)
-        for i, token in enumerate(sentence.tokens):
-            lines.extend(before.get(i, ()))
-            lines.append("\t".join(token_columns(token)))
-        lines.extend(before.get(n, ()))
-        lines.append("\n")
-        sink.write("\n".join(lines))
+    line before the token it precedes, then the token's cells, an empty
+    value written `_`, then the blank line that ends it.  An extra at
+    `len(tokens)` follows the last token; one at an index outside
+    0..len(tokens) raises `ConlluError` before its sentence is written."""
+    for comments, tokens, extras in sentences:
+        rows = [
+            f"{token_id}\t{form}\t{lemma or '_'}\t{upos or '_'}\t{xpos or '_'}\t{feats._text}\t"
+            f"{'_' if head is None else head}\t{deprel or '_'}\t{deps}\t{misc}"
+            for token_id, form, lemma, xpos, upos, feats, head, deprel, deps, misc in tokens
+        ]
+        if extras:
+            rows = _with_extras(rows, extras)
+        sink.write("\n".join([*comments, *rows, "\n"]))
+
+
+def _with_extras(rows: list[str], extras: tuple[tuple[int, str], ...]) -> list[str]:
+    """`rows` with each extra line placed before the row at its index, in
+    the order the extras are given."""
+    n = len(rows)
+    before: dict[int, list[str]] = {}
+    for index, raw in extras:
+        if not 0 <= index <= n:
+            raise ConlluError(f"extra line at index {index} outside 0..{n}: {raw!r}")
+        before.setdefault(index, []).append(raw)
+    lines = []
+    for i, row in enumerate(rows):
+        lines.extend(before.get(i, ()))
+        lines.append(row)
+    lines.extend(before.get(n, ()))
+    return lines
 
 
 def _check_morphemes(token_id: int, lemma: str, xpos: str, report) -> None:

@@ -10,7 +10,7 @@ the original sentence reproduces the corrected sentence exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .conllu import (
     CANONICAL_UPOS,
@@ -234,19 +234,56 @@ def apply_records(sentence: Sentence, records: Iterable[CorrectionRecord]) -> Se
     return Sentence(sentence.comments, tuple(tokens), sentence.extras)
 
 
-def aggregate_stats(records: Sequence[CorrectionRecord], total_tokens: int) -> ConversionStats:
+def aggregate_stats(records: Iterable[CorrectionRecord], total_tokens: int) -> ConversionStats:
     """Group records into (field, original -> corrected) conversion counts."""
-    if total_tokens <= 0:
-        raise CorrectionError("total_tokens must be positive")
-    distinct_tokens = {(r.sent_id, r.token_id) for r in records}
-    if total_tokens < len(distinct_tokens):
-        raise CorrectionError(
-            f"total_tokens {total_tokens} is below the {len(distinct_tokens)} corrected tokens"
-        )
+    return _stats(*_tally(records), total_tokens)
+
+
+def log_stats(source: str | TextIO, total_tokens: int | None = None) -> ConversionStats:
+    """`aggregate_stats` of a log's records, counted as they are read, over
+    `total_tokens` or, without it, the log's `# total_tokens` header.  Memory
+    holds the distinct (field, original, corrected) keys and the corrected
+    tokens, not the records.  A `str` is read with universal newlines, as
+    the CLI reads a file."""
+    log = _LogReader(source)
+    counts, corrected_tokens = _tally(log)
+    if total_tokens is None:
+        total_tokens = log.total
+    if total_tokens is None:
+        raise CorrectionError("no total_tokens header in the log; pass --total-tokens")
+    return _stats(counts, corrected_tokens, total_tokens)
+
+
+# A token id below this bound goes into its sentence's bit set of corrected
+# ids; a larger one, which no treebank holds, into a set of its own.
+_BIT_SET_BOUND = 4096
+
+
+def _tally(records: Iterable[CorrectionRecord]) -> tuple[dict[tuple[str, str, str], int], int]:
+    """The count of each (field, original, corrected) key, and the number of
+    distinct (sent_id, token_id) pairs, of `records`."""
     counts: dict[tuple[str, str, str], int] = {}
+    bits: dict[str, int] = {}  # sent_id -> bit set of its corrected token ids
+    far: set[tuple[str, int]] = set()
     for rec in records:
         key = (rec.field, rec.original, rec.corrected)
         counts[key] = counts.get(key, 0) + 1
+        if rec.token_id < _BIT_SET_BOUND:
+            bits[rec.sent_id] = bits.get(rec.sent_id, 0) | 1 << rec.token_id
+        else:
+            far.add((rec.sent_id, rec.token_id))
+    return counts, sum(ids.bit_count() for ids in bits.values()) + len(far)
+
+
+def _stats(
+    counts: dict[tuple[str, str, str], int], corrected_tokens: int, total_tokens: int
+) -> ConversionStats:
+    if total_tokens <= 0:
+        raise CorrectionError("total_tokens must be positive")
+    if total_tokens < corrected_tokens:
+        raise CorrectionError(
+            f"total_tokens {total_tokens} is below the {corrected_tokens} corrected tokens"
+        )
     rows = [
         StatsRow(field, original, corrected, count, count / total_tokens)
         for (field, original, corrected), count in counts.items()
@@ -304,25 +341,36 @@ def format_log_rows(records: Iterable[CorrectionRecord]) -> str:
 def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | None]:
     """The records and the `# total_tokens` header of a log; a `str` is read
     with universal newlines, as the CLI reads a file."""
-    stream = _text_stream(source)
-    records: list[CorrectionRecord] = []
-    total = None
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "total_tokens":
-                total = _parse_int(parts[1], "total_tokens", lineno)
-            continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise CorrectionError(f"expected 6 columns, got {len(fields)}", line=lineno)
-        sent_id, token_id, field_name, original, corrected, rule_id = fields
-        token_number = _parse_token_id(token_id, lineno)
-        records.append(
-            CorrectionRecord(
+    log = _LogReader(source)
+    records = list(log)
+    return records, log.total
+
+
+class _LogReader:
+    """The records of a correction log, read one at a time as they are
+    iterated; `total` then holds the value of the last `# total_tokens`
+    header read."""
+
+    def __init__(self, source: str | TextIO):
+        self._stream = _text_stream(source)
+        self.total: int | None = None
+
+    def __iter__(self) -> Iterator[CorrectionRecord]:
+        for lineno, raw in enumerate(self._stream, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if len(parts) == 2 and parts[0] == "total_tokens":
+                    self.total = _parse_int(parts[1], "total_tokens", lineno)
+                continue
+            fields = line.split("\t")
+            if len(fields) != 6:
+                raise CorrectionError(f"expected 6 columns, got {len(fields)}", line=lineno)
+            sent_id, token_id, field_name, original, corrected, rule_id = fields
+            token_number = _parse_token_id(token_id, lineno)
+            yield CorrectionRecord(
                 sent_id="" if sent_id == "_" else sent_id,
                 token_id=token_number,
                 field=field_name,
@@ -330,8 +378,6 @@ def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | No
                 corrected="" if corrected == "_" else corrected,
                 rule_id=rule_id,
             )
-        )
-    return records, total
 
 
 def read_aux_sidecar(source: str | TextIO) -> list[AuxAnnotation]:

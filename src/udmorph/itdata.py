@@ -1,12 +1,16 @@
 """Conversion between treebanks and instruction-tuning triples.
 
 A record renders a sentence twice in 8 tab-separated columns (id, form,
-lemma, UPOS, XPOS, FEATS, head, rel), the first eight cells of
-`conllu.token_columns`: the input block carries the literal
-placeholders `head` and `rel`, the output block the gold values.  The
-rendered training string is `instruction + "\\n" + input + output`, where
-both blocks are newline-terminated rows; `output_offset` is the character
-index where the output block starts, i.e. the loss-mask boundary.
+lemma, UPOS, XPOS, FEATS, head, rel), the first eight cells of the row
+`conllu.write_conllu` writes, an empty value written `_`: the input block
+carries the literal placeholders `head` and `rel`, the output block the
+gold values.  Both blocks share each token's first six cells, rendered
+once.  The rendered training string is `instruction + "\\n" + input +
+output`, where both blocks are newline-terminated rows; `output_offset` is
+the character index where the output block starts, i.e. the loss-mask
+boundary.  `emit_jsonl` writes each record as the line
+`json.dumps(..., ensure_ascii=False)` would, with the same string quoter
+and without building a dict.
 
 `from_it_output` reads generated text back leniently: any line whose first
 whitespace- or tab-separated field is a positive integer counts as a row,
@@ -23,7 +27,7 @@ import io
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .conllu import Sentence, _new_tuple, token_columns
+from .conllu import Sentence, _new_tuple
 
 DEFAULT_INSTRUCTION = "아래의 문장을 의존구조문법에 맞게 분석해줘"
 
@@ -63,15 +67,12 @@ def to_it_record(sentence: Sentence, instruction: str = DEFAULT_INSTRUCTION) -> 
         raise ValueError("cannot convert an empty sentence")
     input_rows = []
     output_rows = []
-    for token in sentence.tokens:
-        columns = token_columns(token)
-        input_rows.append("\t".join(columns[:6] + ("head", "rel")))
-        output_rows.append("\t".join(columns[:8]))
-    return ITRecord(
-        instruction=instruction,
-        input="".join(row + "\n" for row in input_rows),
-        output="".join(row + "\n" for row in output_rows),
-    )
+    for token_id, form, lemma, xpos, upos, feats, head, deprel, _, _ in sentence.tokens:
+        # the six cells both blocks share, rendered once
+        prefix = f"{token_id}\t{form}\t{lemma or '_'}\t{upos or '_'}\t{xpos or '_'}\t{feats._text}\t"
+        input_rows.append(prefix + "head\trel\n")
+        output_rows.append(f"{prefix}{'_' if head is None else head}\t{deprel or '_'}\n")
+    return _new_tuple(ITRecord, (instruction, "".join(input_rows), "".join(output_rows)))
 
 
 def _long_int(cell: str) -> int:
@@ -111,18 +112,18 @@ def from_it_output(text: str) -> list[ParsedRow]:
 
 
 def emit_jsonl(records: Iterable[ITRecord], sink: TextIO) -> int:
-    """One JSON object per record; returns the number of lines written."""
-    import json  # here, not at module level: `eval` reads records and writes no JSON
+    """One JSON object per record, as `json.dumps(..., ensure_ascii=False)`
+    writes it; returns the number of lines written."""
+    # here, not at module level: `eval` reads records and writes no JSON.
+    # The quoter `json.dumps` applies to each `str` value.
+    from json.encoder import encode_basestring as quote
 
     count = 0
     for record in records:
-        payload = {
-            "instruction": record.instruction,
-            "input": record.input,
-            "output": record.output,
-            "output_offset": record.output_offset,
-        }
-        sink.write(json.dumps(payload, ensure_ascii=False) + "\n")
+        sink.write(
+            f'{{"instruction": {quote(record.instruction)}, "input": {quote(record.input)}, '
+            f'"output": {quote(record.output)}, "output_offset": {record.output_offset}}}\n'
+        )
         count += 1
     return count
 

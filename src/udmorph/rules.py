@@ -30,7 +30,7 @@ LRU caches of at most `MEMO_SIZE` entries.
 
 from __future__ import annotations
 
-import pkgutil
+import os
 import re
 from functools import lru_cache
 from typing import NamedTuple, TextIO
@@ -414,8 +414,11 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
 
 
 def load_default_pack(language: str = "ko") -> RulePack:
-    text = pkgutil.get_data("udmorph", f"data/{language}.rules").decode("utf-8")
-    return load_rule_pack(text)
+    """The pack shipped as `udmorph/data/<language>.rules`, read through this
+    module's own loader, which also reads from a zip, so a start-up loads
+    no `pkgutil`."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{language}.rules")
+    return load_rule_pack(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 def _context_matches(rule: Rule, window: list[Morpheme]) -> bool:

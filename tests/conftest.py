@@ -232,3 +232,44 @@ def _sentence_block(draw):
 # "+"), multiword ranges, empty nodes, odd MISC and comments, and heads that
 # form a tree unless a few were overwritten with "_", 0 or any id up to n + 2.
 SEJONG_TREEBANK = st.lists(_sentence_block(), min_size=1, max_size=3).map("".join)
+
+
+# Sentences built from Token values, as a stage hands them to a writer:
+# ids and heads of 0, None and past 9 (up to 300), empty LEMMA, UPOS, XPOS
+# and DEPREL values, bags of several keys and values, and extras at any
+# index 0..n in any order, sometimes one at every index.
+_CELL_TEXT = st.text(st.sampled_from("학교a_+"), min_size=1, max_size=3)
+_NUMBERS = st.one_of(st.none(), st.integers(0, 9), st.integers(10, 300))
+_BUILT_TOKENS = st.builds(
+    Token,
+    id=_NUMBERS,
+    form=_CELL_TEXT,
+    lemma=st.one_of(st.just(""), _CELL_TEXT),
+    xpos=st.sampled_from(["", "NNG", "NNG+JKS", "VV+EF"]),
+    upos=st.sampled_from(["", "NOUN", "VERB"]),
+    feats=st.dictionaries(
+        st.sampled_from(["Case", "Number", "NumType", "Person[psor]"]),
+        st.lists(st.sampled_from(["Nom", "Plur", "Sing", "1"]), min_size=1, max_size=3),
+        max_size=3,
+    ).map(FeatureBag),
+    head=_NUMBERS,
+    deprel=st.sampled_from(["", "root", "nsubj", "acl:relcl"]),
+    deps=st.sampled_from(["_", "2:nsubj"]),
+    misc=st.sampled_from(["_", "SpaceAfter=No"]),
+)
+_EXTRA_LINES = st.sampled_from(["1-2\t학교\t_\t_\t_\t_\t_\t_\t_\t_", "1.1\ta", "x"])
+
+
+@st.composite
+def _built_sentence(draw):
+    tokens = draw(st.lists(_BUILT_TOKENS, max_size=6))
+    n = len(tokens)
+    extras = draw(st.lists(st.tuples(st.integers(0, n), _EXTRA_LINES), max_size=4))
+    if draw(st.booleans()):
+        extras += [(index, draw(_EXTRA_LINES)) for index in range(n + 1)]
+        extras = draw(st.permutations(extras))
+    comments = draw(st.lists(st.sampled_from(["# sent_id = s1", "# text = 학교", "#"]), max_size=3))
+    return Sentence(tuple(comments), tuple(tokens), tuple(extras))
+
+
+BUILT_SENTENCES = _built_sentence()

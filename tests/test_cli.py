@@ -343,27 +343,46 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def _max_rss_kb(*argv: str) -> int:
+    """The ru_maxrss of `python -m udmorph ARGV`, which must exit 0 and
+    write nothing to stderr."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _MAX_RSS, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    code, rss_kb = map(int, result.stdout.split())
+    assert (code, result.stderr) == (0, "")
+    return rss_kb
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KB on Linux")
 def test_correct_holds_no_memory_per_correction_record(tmp_path):
     # 25,000 records, which held until the end cost about 2.5 MB
     src = _write(tmp_path / "in.conllu", _verbs_tagged_noun(2_500))
-
-    def max_rss_kb(*options):
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", _MAX_RSS, "correct", src, *options, "-o", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env=_child_env(),
-            timeout=60,
-        )
-        code, rss_kb = map(int, result.stdout.split())
-        assert (code, result.stderr) == (0, "")
-        return rss_kb
-
+    out = str(tmp_path / "out")
     log = tmp_path / "log.tsv"
-    with_log = max_rss_kb("--records", str(log))
+    with_log = _max_rss_kb("correct", src, "--records", str(log), "-o", out)
     assert log.read_text(encoding="utf-8").count("\tcanonical-upos\n") >= 20_000
-    assert with_log - max_rss_kb() <= 1024
+    assert with_log - _max_rss_kb("correct", src, "-o", out) <= 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KB on Linux")
+def test_stats_holds_no_memory_per_log_record(tmp_path):
+    # 25,000 rows, one per token as `correct` logs them, which held as
+    # records until the end cost about 13 MB
+    rows = [f"s-{i}\t{k}\tUPOS\tNOUN\tVERB\tcanonical-upos\n" for i in range(2_500) for k in range(1, 11)]
+    out = tmp_path / "stats.tsv"
+
+    def max_rss_kb(rows):
+        log = _write(tmp_path / "log.tsv", "# total_tokens\t25000\n" + "".join(rows))
+        return _max_rss_kb("stats", log, "-o", str(out))
+
+    every_row = max_rss_kb(rows)
+    assert "NOUN\tVERB\t25000\t1.0000\n" in out.read_text(encoding="utf-8")
+    assert every_row - max_rss_kb(rows[:1]) <= 1024
 
 
 def _verbs_tagged_noun_of_each_length(sentences):
@@ -386,16 +405,7 @@ def test_correct_holds_no_memory_per_sentence(tmp_path):
     # CPython's free list of its length, about 0.5 MB more for the 4x input
     def max_rss_kb(sentences):
         src = _write(tmp_path / "in.conllu", _verbs_tagged_noun_of_each_length(sentences))
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", _MAX_RSS, "correct", src, "-o", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            env=_child_env(),
-            timeout=60,
-        )
-        code, rss_kb = map(int, result.stdout.split())
-        assert (code, result.stderr) == (0, "")
-        return rss_kb
+        return _max_rss_kb("correct", src, "-o", str(tmp_path / "out"))
 
     once = max_rss_kb(1_500)
     assert max_rss_kb(6_000) - once <= 256
@@ -691,7 +701,7 @@ if sys.argv[1:]:
     import udmorph.cli
     udmorph.cli.main(sys.argv[1:])
 print(" ".join(sorted(m for m in sys.modules if m.startswith("udmorph."))))
-costly = ("decimal", "dataclasses", "importlib.resources", "inspect", "json", "logging")
+costly = ("decimal", "dataclasses", "importlib.resources", "inspect", "json", "logging", "pkgutil")
 print(" ".join(m for m in costly if m in sys.modules))
 """
 

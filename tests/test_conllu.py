@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG1_CONLLU, SEJONG_TREEBANK, make_sentence
+from conftest import BUILT_SENTENCES, FIG1_CONLLU, SEJONG_TREEBANK, make_sentence
+from test_equivalence import _old_token_columns
 from udmorph import conllu
 from udmorph.conllu import (
     MEMO_SIZE,
@@ -306,44 +307,14 @@ def _line_by_line(sentences):
             extras.setdefault(index, []).append(raw)
         for i, token in enumerate(sentence.tokens):
             out.extend(raw + "\n" for raw in extras.get(i, ()))
-            out.append("\t".join(conllu.token_columns(token)) + "\n")
+            out.append("\t".join(_old_token_columns(token)) + "\n")
         out.extend(raw + "\n" for raw in extras.get(len(sentence.tokens), ()))
         out.append("\n")
     return "".join(out)
 
 
-_CELL_TEXT = st.text(st.sampled_from("학교a_+"), min_size=1, max_size=3)
-_TOKENS = st.builds(
-    Token,
-    id=st.integers(1, 9),
-    form=_CELL_TEXT,
-    lemma=st.one_of(st.just(""), _CELL_TEXT),
-    xpos=st.sampled_from(["", "NNG", "NNG+JKS", "VV+EF"]),
-    upos=st.sampled_from(["", "NOUN", "VERB"]),
-    feats=st.sampled_from([FeatureBag(), FeatureBag({"Case": ["Nom"], "Number": ["Plur", "Sing"]})]),
-    head=st.one_of(st.none(), st.integers(0, 9)),
-    deprel=st.sampled_from(["", "root", "nsubj"]),
-    deps=st.sampled_from(["_", "2:nsubj"]),
-    misc=st.sampled_from(["_", "SpaceAfter=No"]),
-)
-
-
-@st.composite
-def _sentences(draw):
-    tokens = draw(st.lists(_TOKENS, max_size=5))
-    # extras at any index 0..len(tokens), in any order
-    extras = draw(
-        st.lists(
-            st.tuples(st.integers(0, len(tokens)), st.sampled_from(["1-2\t학교\t_\t_\t_\t_\t_\t_\t_\t_", "1.1\ta", "x"])),
-            max_size=4,
-        )
-    )
-    comments = draw(st.lists(st.sampled_from(["# sent_id = s1", "# text = 학교", "#"]), max_size=3))
-    return Sentence(tuple(comments), tuple(tokens), tuple(extras))
-
-
 @settings(max_examples=300, deadline=None)
-@given(sentences=st.lists(st.one_of(st.just(Sentence()), _sentences()), max_size=4))
+@given(sentences=st.lists(st.one_of(st.just(Sentence()), BUILT_SENTENCES), max_size=4))
 def test_a_sentence_is_written_as_the_line_by_line_writer_wrote_it(sentences):
     assert serialize_conllu(sentences) == _line_by_line(sentences)
 

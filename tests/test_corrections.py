@@ -14,11 +14,14 @@ from udmorph.conllu import SEJONG_TAGS, Token, parse_conllu, serialize_conllu, v
 from udmorph.corrections import (
     AuxAnnotation,
     CorrectionError,
+    ConversionStats,
     CorrectionRecord,
+    StatsRow,
     aggregate_stats,
     apply_records,
     correct_sentence,
     format_stats,
+    log_stats,
     read_aux_sidecar,
     read_records,
     write_records,
@@ -273,6 +276,66 @@ def test_aggregate_empty_and_invalid_total():
     records = [_record("UPOS", "ADV", "NOUN"), _record("UPOS", "ADV", "NOUN", token_id=2)]
     with pytest.raises(CorrectionError, match="^total_tokens 1 is below the 2 corrected tokens$"):
         aggregate_stats(records, 1)
+
+
+def _set_of_pairs_stats(records, total_tokens):
+    """`aggregate_stats` as it was, with a set of (sent_id, token_id) pairs."""
+    if total_tokens <= 0:
+        raise CorrectionError("total_tokens must be positive")
+    distinct_tokens = {(r.sent_id, r.token_id) for r in records}
+    if total_tokens < len(distinct_tokens):
+        raise CorrectionError(
+            f"total_tokens {total_tokens} is below the {len(distinct_tokens)} corrected tokens"
+        )
+    counts = {}
+    for rec in records:
+        key = (rec.field, rec.original, rec.corrected)
+        counts[key] = counts.get(key, 0) + 1
+    rows = [
+        StatsRow(field, original, corrected, count, count / total_tokens)
+        for (field, original, corrected), count in counts.items()
+    ]
+    rows.sort(key=lambda r: (-r.count, r.field, r.original, r.corrected))
+    return ConversionStats(total_tokens, tuple(rows))
+
+
+def _stats_outcome(stats, *args):
+    try:
+        return stats(*args)
+    except CorrectionError as error:
+        return str(error)
+
+
+_LOGGED_RECORDS = st.lists(
+    st.builds(
+        CorrectionRecord,
+        sent_id=st.sampled_from(["", "s1", "s2"]),
+        # ids on both sides of the bit-set bound, and one far past it
+        token_id=st.sampled_from([1, 2, 3, 4095, 4096, 4097, 10**30]),
+        field=st.sampled_from(["UPOS", "XPOS"]),
+        original=st.sampled_from(["", "ADV", "NNG"]),
+        corrected=st.sampled_from(["NOUN", "XR"]),
+        rule_id=st.just("r"),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_LOGGED_RECORDS, total=st.one_of(st.none(), st.integers(-1, 12)))
+def test_stats_count_what_the_set_of_pairs_counted(records, total):
+    sink = io.StringIO()
+    write_records(records, 7, sink)
+    log = sink.getvalue()
+    expected = _stats_outcome(_set_of_pairs_stats, records, 7 if total is None else total)
+    assert _stats_outcome(log_stats, log, total) == expected
+    if total is not None:
+        assert _stats_outcome(aggregate_stats, iter(records), total) == expected
+        headless = log.split("\n", 1)[1]
+        assert _stats_outcome(log_stats, headless, total) == expected
+        assert _stats_outcome(log_stats, headless) == (
+            "no total_tokens header in the log; pass --total-tokens"
+        )
 
 
 def test_replaying_a_record_of_an_unknown_field_is_an_error():

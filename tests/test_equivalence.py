@@ -1,5 +1,6 @@
-"""The rewritten parse, prediction reader, `validate` and `enrich_sentence`
-against the versions they replaced, kept here as they were: on any input
+"""The rewritten parse, prediction reader, `validate`, `enrich_sentence`
+and `to_it_record` against the versions they replaced, kept here as they
+were, with the cells of a CoNLL-U row as they were spelled: on any input
 each must give the same result, or the same error text and line, or the
 same diagnostics in the same order.  The old versions call the helpers the
 rewrite left as they were (`_split_plus`, `_misalignment`, `_parse_feats`,
@@ -12,7 +13,7 @@ import io
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PREDICTION_TEXT, SEJONG_TREEBANK
+from conftest import BUILT_SENTENCES, PREDICTION_TEXT, SEJONG_TREEBANK
 from udmorph import conllu, itdata
 from udmorph.conllu import (
     _EMPTY_ID_RE,
@@ -154,6 +155,39 @@ def _old_from_it_output(text):
                 deprel = value
         rows.append(ParsedRow(id=row_id, head=head, deprel=deprel))
     return rows
+
+
+def _old_token_columns(token):
+    """A token's ten CoNLL-U cells, an empty value written `_`: the
+    reference spelling of a row."""
+    return (
+        str(token.id),
+        token.form,
+        token.lemma or "_",
+        token.upos or "_",
+        token.xpos or "_",
+        token.feats.to_conllu(),
+        "_" if token.head is None else str(token.head),
+        token.deprel or "_",
+        token.deps,
+        token.misc,
+    )
+
+
+def _old_to_it_record(sentence, instruction=itdata.DEFAULT_INSTRUCTION):
+    if not sentence.tokens:
+        raise ValueError("cannot convert an empty sentence")
+    input_rows = []
+    output_rows = []
+    for token in sentence.tokens:
+        columns = _old_token_columns(token)
+        input_rows.append("\t".join(columns[:6] + ("head", "rel")))
+        output_rows.append("\t".join(columns[:8]))
+    return itdata.ITRecord(
+        instruction=instruction,
+        input="".join(row + "\n" for row in input_rows),
+        output="".join(row + "\n" for row in output_rows),
+    )
 
 
 def _old_check_token(token, report):
@@ -381,6 +415,31 @@ def test_the_prediction_reader_gives_the_rows_the_regex_reader_gave(text):
     rows = itdata.from_it_output(text)
     assert rows == _old_from_it_output(text)
     assert all(type(row) is ParsedRow for row in rows)
+
+
+# -- IT records -------------------------------------------------------------
+
+
+def _record_outcome(sentence, instruction, to_it_record):
+    try:
+        return to_it_record(sentence, instruction)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sentences=st.one_of(
+        st.lists(st.one_of(st.just(Sentence()), BUILT_SENTENCES), min_size=1, max_size=3),
+        SEJONG_TREEBANK.map(conllu.parse_conllu),
+    ),
+    instruction=st.one_of(st.just(itdata.DEFAULT_INSTRUCTION), st.text(max_size=5)),
+)
+def test_an_it_record_is_what_the_column_slicing_builder_built(sentences, instruction):
+    for sentence in sentences:
+        record = _record_outcome(sentence, instruction, itdata.to_it_record)
+        assert record == _record_outcome(sentence, instruction, _old_to_it_record)
+        assert type(record) is (str if not sentence.tokens else itdata.ITRecord)
 
 
 # -- validate ---------------------------------------------------------------

@@ -112,6 +112,40 @@ def test_emit_jsonl_round_trip():
         assert rebuilt == record
 
 
+# Text the JSON quoter escapes or passes through: quotes, backslashes, the
+# control characters, DEL, the line and paragraph separators, non-BMP
+# characters and lone surrogates, among plain text.
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x7f", "\u2028", "\u2029", "가", "a", " "]),
+        st.characters(max_codepoint=0x1F),
+        st.characters(min_codepoint=0x10000),
+        st.characters(categories=["Cs"]),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(st.builds(ITRecord, _JSON_TEXT, _JSON_TEXT, _JSON_TEXT), max_size=3))
+def test_each_jsonl_line_is_what_json_dumps_writes(records):
+    sink = io.StringIO()
+    assert emit_jsonl(iter(records), sink) == len(records)
+    assert sink.getvalue() == "".join(
+        json.dumps(
+            {
+                "instruction": record.instruction,
+                "input": record.input,
+                "output": record.output,
+                "output_offset": record.output_offset,
+            },
+            ensure_ascii=False,
+        )
+        + "\n"
+        for record in records
+    )
+
+
 def test_prediction_blocks_split_on_blank_lines():
     text = EXPECTED_OUTPUT + "\n" + "1\tx\tx\tX\tNA\t_\t0\troot\n"
     blocks = list(iter_prediction_blocks(text))

@@ -267,8 +267,10 @@ def _cmd_correct(args: argparse.Namespace) -> int:
                 aux_by_sentence.setdefault(entry.sent_id, []).append(entry)
 
     # the log is opened first, so an unwritable one fails before any output;
-    # each sentence's rows go to the spool, as the `# total_tokens` header
-    # that comes first is known only at the end
+    # each sentence's rows go to the spool, as the `log_header` that comes
+    # first is known only at the end.  A second sentence with the sent_id of
+    # one that took aux entries is refused: it would take them too, and its
+    # log rows would not replay.
     log_context = nullcontext() if args.records is None else _replacing(args.records)
     spool_context = nullcontext() if args.records is None else _spool(args.records)
     total_tokens = 0
@@ -278,7 +280,13 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             total_tokens += len(sentence.tokens)
             entries = aux_by_sentence.get(sentence.sent_id or "", [])
             if entries:  # the sidecar's sent_id, so no string is held per sentence
-                matched.add(entries[0].sent_id)
+                sid = entries[0].sent_id
+                if sid in matched:
+                    raise corrections.CorrectionError(
+                        f"sent_id {sid!r} names more than one sentence, so each would take"
+                        " its aux entries; give every sentence a unique sent_id"
+                    )
+                matched.add(sid)
             corrected, records = corrections.correct_sentence(sentence, entries, pack)
             if spool is not None:
                 spool.write(corrections.format_log_rows(records))
@@ -288,7 +296,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
             count = sum(len(aux_by_sentence[sid]) for sid in unmatched)
             conllu.warn(f"{count} aux entries match no sentence (first sent_id {unmatched[0]!r})")
         if log is not None:
-            corrections.write_records((), total_tokens, log)  # the header alone
+            log.write(corrections.log_header(total_tokens))
             spool.seek(0)
             while chunk := spool.read(_SPOOL_CHUNK):
                 log.write(chunk)

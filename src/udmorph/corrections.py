@@ -1,11 +1,13 @@
 """Systematic POS/XPOS corrections and conversion statistics.
 
-Five correction rules run in a fixed order per token; later rules see the
-earlier rules' output.  Corrections touch UPOS, XPOS and LEMMA only - ids,
-heads and dependency relations are never modified.  Each change goes through
-one helper, which writes a CorrectionRecord iff the field's value changes, by
-the field map `apply_records` replays with, so replaying the records against
-the original sentence reproduces the corrected sentence exactly.
+`correct_sentence` runs one loop over a sentence's tokens, which applies five
+correction rules in a fixed order to each; later rules see the earlier rules'
+output.  Corrections touch UPOS, XPOS and LEMMA only - ids, heads and
+dependency relations are never modified.  Each change goes through one
+helper, made once per sentence, which writes a CorrectionRecord iff the
+field's value changes, by the field map `apply_records` replays with, so
+replaying the records against the original sentence reproduces the corrected
+sentence exactly.
 """
 
 from __future__ import annotations
@@ -94,93 +96,11 @@ def _retagged(morphemes: Sequence[Morpheme], index: int, tag: str) -> str:
     return "+".join(tags)
 
 
-def _reads_as_one_morpheme(form: str) -> bool:
-    """True iff FORM, written as LEMMA, reads back as exactly one segment
-    ("_" reads back as an empty LEMMA)."""
-    return form != "_" and len(_split_plus(form)) == 1
-
-
-def correct_token(
-    token: Token,
-    sentence: Sentence,
-    aux: AuxAnnotation | None,
-    pack: RulePack,
-    records: list[CorrectionRecord],
-    sid: str,
-) -> Token:
-    def rewrite(field: str, value: str | None, rule_id: str) -> bool:
-        """Set and record `field`; False, with no record, if `value` is None or no change."""
-        nonlocal token
-        attribute = _RECORD_ATTRIBUTES[field]
-        original = getattr(token, attribute)
-        if value is None or value == original:
-            return False
-        records.append(CorrectionRecord(sid, token.id, field, original, value, rule_id))
-        token = token._replace(**{attribute: value})
-        return True
-
-    # `morphemes` is read again only after a rewrite of LEMMA or XPOS
-    morphemes = token.morphemes
-
-    # 1. external-analysis and NER reconciliation (needs a sidecar entry)
-    if aux is not None:
-        ext = aux.ext_xpos
-        if ext and len(ext) == len(morphemes):
-            if rewrite("XPOS", "+".join(ext), "ext-xpos"):
-                morphemes = token.morphemes
-        elif ext and len(ext) == 1 and _reads_as_one_morpheme(token.form):
-            # collapse a spurious segmentation (LEMMA or XPOS always changes)
-            rewrite("LEMMA", token.form, "ext-xpos")
-            rewrite("XPOS", ext[0], "ext-xpos")
-            morphemes = token.morphemes
-        head = next((i for i, m in enumerate(morphemes) if m.tag in CANONICAL_UPOS), None)
-        head_tag = None if head is None else morphemes[head].tag
-        if head_tag == "NNG" and aux.ner_label:
-            rewrite("XPOS", _retagged(morphemes, head, "NNP"), "ner-propn")
-            morphemes = token.morphemes
-            rewrite("UPOS", "PROPN", "ner-propn")
-        elif head_tag == "NNP" and not aux.ner_label:
-            rewrite("XPOS", _retagged(morphemes, head, "NNG"), "ner-common")
-            morphemes = token.morphemes
-            rewrite("UPOS", canonical_upos(morphemes), "ner-common")
-
-    # 2. canonical UPOS from the lexical base morpheme
-    rewrite("UPOS", canonical_upos(morphemes), "canonical-upos")
-
-    # 3. XR is a noun fragment: normalize word-initial XR to NNG
-    if morphemes and morphemes[0].tag == "XR" and (
-        len(morphemes) == 1 or morphemes[1].tag in ("XSA", "XSN", "XSV")
-    ):
-        rewrite("XPOS", _retagged(morphemes, 0, "NNG"), "xr-noun")
-        morphemes = token.morphemes
-
-    # 4. complement marker before 되다/아니다: JKS -> JKC
-    if morphemes and morphemes[-1].tag == "JKS" and morphemes[-1].surface in ("이", "가"):
-        if token.head and 1 <= token.head <= len(sentence.tokens):
-            stem = sentence.tokens[token.head - 1].morphemes[:1]
-        else:  # no usable head: the stem of the first following predicate, if any
-            for following in sentence.tokens[token.id:]:
-                stem = following.morphemes[:1]
-                if stem and stem[0].tag in _PREDICATE_TAGS:
-                    break
-            else:
-                stem = ()
-        if stem and stem[0].surface in _COMPLEMENT_STEMS:
-            rewrite("XPOS", _retagged(morphemes, len(morphemes) - 1, "JKC"), "complement-jkc")
-            morphemes = token.morphemes
-
-    # 5. conjunctive adverbs: MAG -> MAJ
-    if len(morphemes) == 1 and morphemes[0].tag == "MAG" and token.form in pack.conjunctive_adverbs:
-        rewrite("XPOS", _retagged(morphemes, 0, "MAJ"), "conj-adverb")
-
-    return token
-
-
 def correct_sentence(
     sentence: Sentence, aux: Sequence[AuxAnnotation], pack: RulePack
 ) -> tuple[Sentence, list[CorrectionRecord]]:
-    """Apply every correction rule; returns the new sentence, `sentence`
-    itself when no rule changed it, and its records."""
+    """Apply the five correction rules to each token in turn; returns the new
+    sentence, `sentence` itself when no rule changed it, and its records."""
     sid = sentence.sent_id or ""
     aux_by_token: dict[int, AuxAnnotation] = {}
     valid_ids = None  # built for the first entry of this sentence, if any
@@ -196,10 +116,80 @@ def correct_sentence(
         aux_by_token[entry.token_id] = entry
 
     records: list[CorrectionRecord] = []
-    tokens = [
-        correct_token(token, sentence, aux_by_token.get(token.id), pack, records, sid)
-        for token in sentence.tokens
-    ]
+
+    def rewrite(field: str, value: str | None, rule_id: str) -> bool:
+        """Set and record `field` of `token`; False, with no record, if
+        `value` is None or no change."""
+        nonlocal token
+        attribute = _RECORD_ATTRIBUTES[field]
+        original = getattr(token, attribute)
+        if value is None or value == original:
+            return False
+        records.append(CorrectionRecord(sid, token.id, field, original, value, rule_id))
+        token = token._replace(**{attribute: value})
+        return True
+
+    tokens: list[Token] = []
+    for token in sentence.tokens:
+        # `morphemes` is read again only after a rewrite of LEMMA or XPOS
+        morphemes = token.morphemes
+
+        # 1. external-analysis and NER reconciliation (needs a sidecar entry)
+        annotation = aux_by_token.get(token.id)
+        if annotation is not None:
+            ext = annotation.ext_xpos
+            form = token.form
+            if ext and len(ext) == len(morphemes):
+                if rewrite("XPOS", "+".join(ext), "ext-xpos"):
+                    morphemes = token.morphemes
+            # collapse a spurious segmentation (LEMMA or XPOS always changes)
+            # when FORM, as LEMMA, reads back as one segment ("_" as none)
+            elif ext and len(ext) == 1 and form != "_" and len(_split_plus(form)) == 1:
+                rewrite("LEMMA", form, "ext-xpos")
+                rewrite("XPOS", ext[0], "ext-xpos")
+                morphemes = token.morphemes
+            head = next((i for i, m in enumerate(morphemes) if m.tag in CANONICAL_UPOS), None)
+            head_tag = None if head is None else morphemes[head].tag
+            if head_tag == "NNG" and annotation.ner_label:
+                rewrite("XPOS", _retagged(morphemes, head, "NNP"), "ner-propn")
+                morphemes = token.morphemes
+                rewrite("UPOS", "PROPN", "ner-propn")
+            elif head_tag == "NNP" and not annotation.ner_label:
+                rewrite("XPOS", _retagged(morphemes, head, "NNG"), "ner-common")
+                morphemes = token.morphemes
+                rewrite("UPOS", canonical_upos(morphemes), "ner-common")
+
+        # 2. canonical UPOS from the lexical base morpheme
+        rewrite("UPOS", canonical_upos(morphemes), "canonical-upos")
+
+        # 3. XR is a noun fragment: normalize word-initial XR to NNG
+        if morphemes and morphemes[0].tag == "XR" and (
+            len(morphemes) == 1 or morphemes[1].tag in ("XSA", "XSN", "XSV")
+        ):
+            rewrite("XPOS", _retagged(morphemes, 0, "NNG"), "xr-noun")
+            morphemes = token.morphemes
+
+        # 4. complement marker before 되다/아니다: JKS -> JKC
+        if morphemes and morphemes[-1].tag == "JKS" and morphemes[-1].surface in ("이", "가"):
+            if token.head and 1 <= token.head <= len(sentence.tokens):
+                stem = sentence.tokens[token.head - 1].morphemes[:1]
+            else:  # no usable head: the stem of the first following predicate, if any
+                for following in sentence.tokens[token.id:]:
+                    stem = following.morphemes[:1]
+                    if stem and stem[0].tag in _PREDICATE_TAGS:
+                        break
+                else:
+                    stem = ()
+            if stem and stem[0].surface in _COMPLEMENT_STEMS:
+                rewrite("XPOS", _retagged(morphemes, len(morphemes) - 1, "JKC"), "complement-jkc")
+                morphemes = token.morphemes
+
+        # 5. conjunctive adverbs: MAG -> MAJ
+        if len(morphemes) == 1 and morphemes[0].tag == "MAG":
+            if token.form in pack.conjunctive_adverbs:
+                rewrite("XPOS", _retagged(morphemes, 0, "MAJ"), "conj-adverb")
+
+        tokens.append(token)
     if not records:  # no token changed
         return sentence, records
     # from a list, at its final size: `tuple()` of a generator resizes a
@@ -306,15 +296,12 @@ def format_stats(stats: ConversionStats) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_records(
-    records: Sequence[CorrectionRecord], total_tokens: int, sink: TextIO
-) -> None:
-    """Write the log, or raise before writing anything if `format_log_rows`
-    refuses a record."""
-    rows = format_log_rows(records)
-    sink.write(f"# total_tokens\t{total_tokens}\n")
-    sink.write("# sent_id\ttoken_id\tfield\toriginal\tcorrected\trule_id\n")
-    sink.write(rows)
+def log_header(total_tokens: int) -> str:
+    """The two header lines of a correction log over `total_tokens` tokens."""
+    return (
+        f"# total_tokens\t{total_tokens}\n"
+        "# sent_id\ttoken_id\tfield\toriginal\tcorrected\trule_id\n"
+    )
 
 
 def format_log_rows(records: Iterable[CorrectionRecord]) -> str:

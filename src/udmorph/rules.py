@@ -293,6 +293,10 @@ def _parse_rule_line(body: str, line: int) -> Rule:
             raise RulePackError(f"unknown rule field {key!r}", line)
     if tags is None:
         raise RulePackError("rule is missing the required tag= field", line)
+    if position == "initial" and prev is not None:
+        raise RulePackError(
+            "pos=initial with prev= never fires: no morpheme comes before a word's first", line
+        )
 
     emits = []
     for item in emit_text.split(","):

@@ -14,7 +14,7 @@ import udmorph
 from conftest import FIG1_CONLLU, FIG1_FEATS, SEJONG_TREEBANK
 from udmorph.cli import _SPOOL_CHUNK, main
 from udmorph.conllu import SEJONG_TAGS, UdmorphError, parse_conllu
-from udmorph.corrections import correct_sentence, read_aux_sidecar, write_records
+from udmorph.corrections import correct_sentence, format_log_rows, log_header, read_aux_sidecar
 
 
 def _write(path, text):
@@ -252,6 +252,25 @@ def test_correct_warns_about_aux_entries_matching_no_sentence(tmp_path, capsys):
     assert "s1\t1\t" in log.read_text(encoding="utf-8")
 
 
+def test_correct_refuses_a_second_sentence_with_the_sent_id_of_an_aux_group(tmp_path, capsys):
+    sentence = "# sent_id = s1\n1\t학교\t학교\tNOUN\tNNG\t_\t0\troot\t_\t_\n\n"
+    src = _write(tmp_path / "in.conllu", sentence * 2)
+    aux = _write(tmp_path / "aux.tsv", "s1\t1\tLOC\t_\n")
+    (tmp_path / "out").write_bytes(b"old output\n")
+    (tmp_path / "log.tsv").write_bytes(b"old log\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["correct", src, "--aux", aux, "--records", str(tmp_path / "log.tsv")]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "udmorph correct: sent_id 's1' names more than one sentence, so each would take"
+        " its aux entries; give every sentence a unique sent_id\n"
+    )
+    # no temporary file is left, and both outputs keep their bytes
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # a repeated sent_id that names no aux entries is corrected as before
+    assert main(["correct", src, "-o", str(tmp_path / "plain")]) == 0
+
+
 @st.composite
 def _treebank_and_aux(draw):
     """SEJONG_TREEBANK text and an aux sidecar for its named sentences:
@@ -293,14 +312,17 @@ def test_the_spooled_log_equals_the_log_written_in_one_call(pack, case):
     entries_by_sentence = {}
     for entry in read_aux_sidecar(sidecar):
         entries_by_sentence.setdefault(entry.sent_id, []).append(entry)
-    records, total_tokens = [], 0
-    expected = io.StringIO()
+    records, total_tokens, taken = [], 0, set()
     try:
         for sentence in parse_conllu(text):
             total_tokens += len(sentence.tokens)
             entries = entries_by_sentence.get(sentence.sent_id or "", [])
+            if entries:  # a second sentence with these entries' sent_id is refused
+                if sentence.sent_id in taken:
+                    raise UdmorphError(sentence.sent_id)
+                taken.add(sentence.sent_id)
             records += correct_sentence(sentence, entries, pack)[1]
-        write_records(records, total_tokens, expected)
+        expected = log_header(total_tokens) + format_log_rows(records)
     except UdmorphError:
         expected = None
     with tempfile.TemporaryDirectory() as workdir:
@@ -312,7 +334,7 @@ def test_the_spooled_log_equals_the_log_written_in_one_call(pack, case):
             return
         assert code == 0
         log = (workdir / "log.tsv").read_bytes()
-    assert log == expected.getvalue().encode("utf-8")
+    assert log == expected.encode("utf-8")
     if case is _LONG_LOG_CASE:
         assert len(log) > 2 * _SPOOL_CHUNK
 

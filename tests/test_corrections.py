@@ -1,5 +1,4 @@
 import gc
-import io
 import pickle
 import re
 import sys
@@ -20,11 +19,12 @@ from udmorph.corrections import (
     aggregate_stats,
     apply_records,
     correct_sentence,
+    format_log_rows,
     format_stats,
+    log_header,
     log_stats,
     read_aux_sidecar,
     read_records,
-    write_records,
 )
 from udmorph.itdata import to_it_record
 from udmorph.rules import enrich_sentence
@@ -324,9 +324,7 @@ _LOGGED_RECORDS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(records=_LOGGED_RECORDS, total=st.one_of(st.none(), st.integers(-1, 12)))
 def test_stats_count_what_the_set_of_pairs_counted(records, total):
-    sink = io.StringIO()
-    write_records(records, 7, sink)
-    log = sink.getvalue()
+    log = log_header(7) + format_log_rows(records)
     expected = _stats_outcome(_set_of_pairs_stats, records, 7 if total is None else total)
     assert _stats_outcome(log_stats, log, total) == expected
     if total is not None:
@@ -371,9 +369,7 @@ def test_records_round_trip_through_log():
         _record("UPOS", "ADV", "NOUN"),
         _record("XPOS", "XR+XSA+ETM", "NNG+XSA+ETM", token_id=3),
     ]
-    sink = io.StringIO()
-    write_records(records, 42, sink)
-    parsed, total = read_records(sink.getvalue())
+    parsed, total = read_records(log_header(42) + format_log_rows(records))
     assert parsed == records
     assert total == 42
 
@@ -383,17 +379,13 @@ def test_log_refuses_a_sent_id_holding_a_tab_before_writing_anything():
         _record("UPOS", "ADV", "NOUN"),
         CorrectionRecord("a\tb", 1, "UPOS", "ADV", "NOUN", "r"),
     ]
-    sink = io.StringIO()
     with pytest.raises(CorrectionError, match=r"sent_id 'a\\tb' holds a tab"):
-        write_records(records, 2, sink)
-    assert sink.getvalue() == ""
+        format_log_rows(records)
 
 
 def test_log_refuses_a_sent_id_of_one_underscore_which_reads_back_as_none(tmp_path, capsys):
-    sink = io.StringIO()
     with pytest.raises(CorrectionError, match=r"^sent_id '_' reads back from a log as no sent_id$"):
-        write_records([CorrectionRecord("_", 1, "UPOS", "NOUN", "VERB", "r")], 1, sink)
-    assert sink.getvalue() == ""
+        format_log_rows([CorrectionRecord("_", 1, "UPOS", "NOUN", "VERB", "r")])
     src = tmp_path / "in.conllu"
     src.write_text("# sent_id = _\n1\t가고\t가+고\tNOUN\tVV+EC\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
     argv = ["correct", str(src), "--records", str(tmp_path / "log.tsv"), "-o", str(tmp_path / "out")]
@@ -404,10 +396,8 @@ def test_log_refuses_a_sent_id_of_one_underscore_which_reads_back_as_none(tmp_pa
 
 def test_log_refuses_a_sent_id_that_starts_with_a_hash_which_reads_back_as_a_comment(tmp_path, capsys):
     message = "sent_id '#s1' starts with '#', which reads back from a log as a comment"
-    sink = io.StringIO()
     with pytest.raises(CorrectionError, match=f"^{re.escape(message)}$"):
-        write_records([CorrectionRecord("#s1", 1, "UPOS", "NOUN", "VERB", "r")], 1, sink)
-    assert sink.getvalue() == ""
+        format_log_rows([CorrectionRecord("#s1", 1, "UPOS", "NOUN", "VERB", "r")])
     src = tmp_path / "in.conllu"
     src.write_text("# sent_id = #s1\n1\t먹어\t먹+어\tNOUN\tVV+EC\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
     argv = ["correct", str(src), "--records", str(tmp_path / "log.tsv"), "-o", str(tmp_path / "out")]
@@ -481,9 +471,7 @@ def test_crlf_sidecar_and_log_strings_read_as_lf_strings_do():
     sidecar = "# comment\ns1\t1\tLOC\tNNP\ns1\t2\t_\t_\n"
     assert read_aux_sidecar(sidecar.replace("\n", "\r\n")) == read_aux_sidecar(sidecar)
     assert read_aux_sidecar("s1\t1\t_\tNNP\r\n")[0].ext_xpos == ("NNP",)
-    sink = io.StringIO()
-    write_records([CorrectionRecord("s1", 1, "UPOS", "ADV", "NOUN", "canonical-upos")], 2, sink)
-    log = sink.getvalue()
+    log = log_header(2) + format_log_rows([CorrectionRecord("s1", 1, "UPOS", "ADV", "NOUN", "canonical-upos")])
     assert read_records(log.replace("\n", "\r\n")) == read_records(log)
     assert read_records(log.replace("\n", "\r\n"))[0][0].rule_id == "canonical-upos"
 
@@ -541,9 +529,7 @@ def test_log_written_and_read_back_replays_to_the_corrected_sentence(pack, text,
     sentences = parse_conllu(text)
     for sentence in sentences:
         corrected, records = correct_sentence(sentence, data.draw(_aux_entries(sentence)), pack)
-        sink = io.StringIO()
-        write_records(records, len(sentence.tokens), sink)
-        replayed, total = read_records(sink.getvalue())
+        replayed, total = read_records(log_header(len(sentence.tokens)) + format_log_rows(records))
         assert total == len(sentence.tokens)
         assert all(r.original != r.corrected for r in records)
         assert apply_records(sentence, replayed) == corrected
@@ -578,9 +564,8 @@ def test_what_lenient_parsing_accepts_passes_enrich_and_correct(pack, text, data
     for sentence in parse_conllu(text, lenient=True):
         enriched = enrich_sentence(sentence, pack)
         corrected, records = correct_sentence(enriched, data.draw(_aux_entries(enriched)), pack)
-        sink = io.StringIO()
-        write_records(records, len(enriched.tokens), sink)
-        assert apply_records(enriched, read_records(sink.getvalue())[0]) == corrected
+        log = log_header(len(enriched.tokens)) + format_log_rows(records)
+        assert apply_records(enriched, read_records(log)[0]) == corrected
         (reparsed,) = parse_conllu(serialize_conllu([corrected]), lenient=True)
         assert reparsed.tokens == corrected.tokens
         to_it_record(corrected)

@@ -1,10 +1,11 @@
-"""The rewritten parse, prediction reader, `validate`, `enrich_sentence`
-and `to_it_record` against the versions they replaced, kept here as they
-were, with the cells of a CoNLL-U row as they were spelled: on any input
-each must give the same result, or the same error text and line, or the
-same diagnostics in the same order.  The old versions call the helpers the
-rewrite left as they were (`_split_plus`, `_misalignment`, `_parse_feats`,
-`_id_error`, `_long_int`, `_context_matches`, `_emitted`) from the package."""
+"""The rewritten parse, prediction reader, `validate`, `enrich_sentence`,
+`correct_sentence` and `to_it_record` against the versions they replaced,
+kept here as they were, with the cells of a CoNLL-U row as they were
+spelled: on any input each must give the same result, or the same error
+text and line, or the same diagnostics in the same order.  The old versions
+call the helpers the rewrite left as they were (`_split_plus`,
+`_misalignment`, `_parse_feats`, `_id_error`, `_long_int`,
+`_context_matches`, `_emitted`, `_retagged`) from the package."""
 
 import contextlib
 import copy
@@ -13,9 +14,10 @@ import io
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BUILT_SENTENCES, PREDICTION_TEXT, SEJONG_TREEBANK
+from conftest import BUILT_SENTENCES, PREDICTION_TEXT, SEJONG_TREEBANK, make_sentence
 from udmorph import conllu, itdata
 from udmorph.conllu import (
+    CANONICAL_UPOS,
     _EMPTY_ID_RE,
     _FEAT_KEY_RE,
     _FEAT_VALUE_RE,
@@ -35,6 +37,17 @@ from udmorph.conllu import (
     _misalignment,
     _parse_feats,
     _split_plus,
+    canonical_upos,
+)
+from udmorph.corrections import (
+    _COMPLEMENT_STEMS,
+    _PREDICATE_TAGS,
+    _RECORD_ATTRIBUTES,
+    AuxAnnotation,
+    CorrectionError,
+    CorrectionRecord,
+    _retagged,
+    correct_sentence,
 )
 from udmorph.itdata import _INT_RE, _MAX_DIGITS, _SMALL_INT_BOUND, ParsedRow, _long_int
 from udmorph.romanize import romanize
@@ -319,6 +332,86 @@ def _old_enrich_sentence(sentence, pack):
     return Sentence(enriched.comments, tuple(tokens), enriched.extras)
 
 
+def _old_correct_token(token, sentence, aux, pack, records, sid):
+    def rewrite(field, value, rule_id):
+        nonlocal token
+        attribute = _RECORD_ATTRIBUTES[field]
+        original = getattr(token, attribute)
+        if value is None or value == original:
+            return False
+        records.append(CorrectionRecord(sid, token.id, field, original, value, rule_id))
+        token = token._replace(**{attribute: value})
+        return True
+
+    morphemes = token.morphemes
+    if aux is not None:
+        ext = aux.ext_xpos
+        if ext and len(ext) == len(morphemes):
+            if rewrite("XPOS", "+".join(ext), "ext-xpos"):
+                morphemes = token.morphemes
+        # the old `_reads_as_one_morpheme(token.form)`
+        elif ext and len(ext) == 1 and token.form != "_" and len(_split_plus(token.form)) == 1:
+            rewrite("LEMMA", token.form, "ext-xpos")
+            rewrite("XPOS", ext[0], "ext-xpos")
+            morphemes = token.morphemes
+        head = next((i for i, m in enumerate(morphemes) if m.tag in CANONICAL_UPOS), None)
+        head_tag = None if head is None else morphemes[head].tag
+        if head_tag == "NNG" and aux.ner_label:
+            rewrite("XPOS", _retagged(morphemes, head, "NNP"), "ner-propn")
+            morphemes = token.morphemes
+            rewrite("UPOS", "PROPN", "ner-propn")
+        elif head_tag == "NNP" and not aux.ner_label:
+            rewrite("XPOS", _retagged(morphemes, head, "NNG"), "ner-common")
+            morphemes = token.morphemes
+            rewrite("UPOS", canonical_upos(morphemes), "ner-common")
+    rewrite("UPOS", canonical_upos(morphemes), "canonical-upos")
+    if morphemes and morphemes[0].tag == "XR" and (
+        len(morphemes) == 1 or morphemes[1].tag in ("XSA", "XSN", "XSV")
+    ):
+        rewrite("XPOS", _retagged(morphemes, 0, "NNG"), "xr-noun")
+        morphemes = token.morphemes
+    if morphemes and morphemes[-1].tag == "JKS" and morphemes[-1].surface in ("이", "가"):
+        if token.head and 1 <= token.head <= len(sentence.tokens):
+            stem = sentence.tokens[token.head - 1].morphemes[:1]
+        else:
+            for following in sentence.tokens[token.id:]:
+                stem = following.morphemes[:1]
+                if stem and stem[0].tag in _PREDICATE_TAGS:
+                    break
+            else:
+                stem = ()
+        if stem and stem[0].surface in _COMPLEMENT_STEMS:
+            rewrite("XPOS", _retagged(morphemes, len(morphemes) - 1, "JKC"), "complement-jkc")
+            morphemes = token.morphemes
+    if len(morphemes) == 1 and morphemes[0].tag == "MAG" and token.form in pack.conjunctive_adverbs:
+        rewrite("XPOS", _retagged(morphemes, 0, "MAJ"), "conj-adverb")
+    return token
+
+
+def _old_correct_sentence(sentence, aux, pack):
+    sid = sentence.sent_id or ""
+    aux_by_token = {}
+    valid_ids = None
+    for entry in aux:
+        if entry.sent_id != sid:
+            continue
+        if valid_ids is None:
+            valid_ids = {t.id for t in sentence.tokens}
+        if entry.token_id not in valid_ids:
+            raise CorrectionError(
+                f"aux annotation references missing token {entry.sent_id}:{entry.token_id}"
+            )
+        aux_by_token[entry.token_id] = entry
+    records = []
+    tokens = [
+        _old_correct_token(token, sentence, aux_by_token.get(token.id), pack, records, sid)
+        for token in sentence.tokens
+    ]
+    if not records:
+        return sentence, records
+    return Sentence(sentence.comments, tuple(tokens), sentence.extras), records
+
+
 # -- parse ------------------------------------------------------------------
 
 _LONG_ID = "9" * 30
@@ -528,3 +621,80 @@ def test_enrich_gives_what_the_two_loop_enrich_gave(pack, text):
         once = enrich_sentence(sentence, pack)
         assert once == expected
         assert enrich_sentence(once, pack) == _old_enrich_sentence(once, copy.copy(pack))
+
+
+# -- correct ----------------------------------------------------------------
+
+
+@st.composite
+def _sentences_and_aux(draw):
+    """The sentences of SEJONG_TREEBANK text, each with drawn aux entries:
+    for its own tokens, for the token past its end, which is missing, and
+    for other sent_ids, whose entries it must not take."""
+    tags = st.lists(st.sampled_from(sorted(SEJONG_TAGS)), min_size=1, max_size=3).map(tuple)
+    pairs = []
+    for sentence in conllu.parse_conllu(draw(SEJONG_TREEBANK)):
+        sid = sentence.sent_id or ""
+        entry = st.builds(
+            AuxAnnotation,
+            sent_id=st.sampled_from([sid, sid, sid, "s1", "s2", "s9"]),
+            token_id=st.integers(1, len(sentence.tokens) + 1),
+            ner_label=st.sampled_from([None, "PER"]),
+            ext_xpos=st.one_of(st.none(), tags),
+        )
+        pairs.append((sentence, draw(st.lists(entry, max_size=4))))
+    return pairs, None
+
+
+# For each rule id, a sentence of the correction tests on which it fires:
+# (words, heads, aux entries); `None` heads attach every word to the last.
+_WENT = ("갔다", "가+았+다", "VV+EP+EF", "VERB")
+_FIRING = {
+    "ext-xpos": (
+        [("예쁘다", "예쁘+다", "VV+EF", "VERB")], None, [AuxAnnotation("s1", 1, None, ("VA", "EF"))]
+    ),
+    "ner-propn": ([("서울", "서울", "NNG", "NOUN"), _WENT], None, [AuxAnnotation("s1", 1, "LOC")]),
+    "ner-common": ([("가방", "가방", "NNP", "PROPN"), _WENT], None, [AuxAnnotation("s1", 1, None)]),
+    "canonical-upos": ([("가격에", "가격+에", "NNG+JKB", "ADV"), _WENT], None, []),
+    "xr-noun": ([("민주", "민주", "XR", "NOUN")], None, []),
+    "complement-jkc": (
+        [("학생이", "학생+이", "NNG+JKS", "NOUN"), ("아니다", "아니+다", "VCN+EF", "ADJ")],
+        [None, 0],
+        [],
+    ),
+    "conj-adverb": ([("그러나", "그러나", "MAG", "ADV"), _WENT], None, []),
+}
+
+
+def _firing(rule_id):
+    words, heads, aux = _FIRING[rule_id]
+    return [(make_sentence(words, sent_id="s1", heads=heads), aux)], rule_id
+
+
+def _correct_outcome(correct, sentence, aux, pack):
+    """The sentence, its records and whether it is the input itself, or the
+    error's text."""
+    try:
+        corrected, records = correct(sentence, aux, pack)
+    except CorrectionError as error:
+        return str(error)
+    return corrected, records, corrected is sentence
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sentences_and_aux())
+@example(case=_firing("ext-xpos"))
+@example(case=_firing("ner-propn"))
+@example(case=_firing("ner-common"))
+@example(case=_firing("canonical-upos"))
+@example(case=_firing("xr-noun"))
+@example(case=_firing("complement-jkc"))
+@example(case=_firing("conj-adverb"))
+def test_correct_gives_what_the_token_by_token_correct_gave(pack, case):
+    pairs, fires = case
+    for sentence, aux in pairs:
+        enriched = enrich_sentence(sentence, pack)
+        outcome = _correct_outcome(correct_sentence, enriched, aux, pack)
+        assert outcome == _correct_outcome(_old_correct_sentence, enriched, aux, pack)
+        if fires is not None:
+            assert fires in {record.rule_id for record in outcome[1]}

@@ -147,6 +147,8 @@ def test_unknown_tag_code_rejected():
         ("rule a 1 tag=EC =>", "line 3: malformed emission ''"),
         ("rule a 1 tag=EC prev=VV => Mood=Des", "line 3: context pattern 'VV' must be <surface>/<tag>"),
         ("rule a 1 tag=EC next=싶 => Mood=Des", "line 3: context pattern '싶' must be <surface>/<tag>"),
+        ("rule a 1 tag=NNG pos=initial prev=*/NNG => Case=Nom",
+         "line 3: pos=initial with prev= never fires: no morpheme comes before a word's first"),
         ("func aux", "line 3: func needs '<class> <word>...'"),
         ("voice 먹+히", "line 3: voice needs '<stem[+suffix]> <value>'"),
         ("voice 먹+히 Pass Cau", "line 3: voice needs '<stem[+suffix]> <value>'"),
@@ -157,6 +159,7 @@ def test_unknown_tag_code_rejected():
     ],
     ids=["no-arrow", "few-fields", "priority", "field", "tag-star", "pos", "next-three",
          "unknown-field", "no-tag", "emission", "emits-nothing", "prev-slash", "next-slash",
+         "initial-after-prev",
          "func", "voice-one", "voice-three", "voice-duplicate", "directive", "duplicate-id"],
 )
 def test_a_malformed_pack_is_refused_naming_its_line(lines, message):

@@ -34,8 +34,6 @@ from typing import Iterator, TextIO
 
 from . import conllu
 
-RULES_ENV_VAR = "UDMORPH_RULES"
-
 _ENCODING = {"r": "utf-8-sig", "w": "utf-8"}
 
 # Characters `correct` copies from its spool to the correction log per read.
@@ -179,8 +177,7 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_rules_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rules",
-        default=os.environ.get(RULES_ENV_VAR),
-        help=f"rule-pack file (default: ${RULES_ENV_VAR} or the packaged Korean pack)",
+        help="rule-pack file (default: the packaged Korean pack)",
     )
 
 

@@ -13,8 +13,8 @@ Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
 and excluded from the token list and from all structural checks.
 `write_conllu` renders each token row with one f-string from the token's
 unpacked values and writes a sentence whole with one `write`.
-Every reader in the package but the predictions reader takes a `str` as
-`_text_stream` gives it: with universal newlines, as the CLI reads a file.
+Every reader in the package takes a `str` as `_text_stream` gives it: with
+universal newlines, as the CLI reads a file.
 """
 
 from __future__ import annotations

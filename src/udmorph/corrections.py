@@ -231,7 +231,8 @@ def aggregate_stats(records: Iterable[CorrectionRecord], total_tokens: int) -> C
 
 def log_stats(source: str | TextIO, total_tokens: int | None = None) -> ConversionStats:
     """`aggregate_stats` of a log's records, counted as they are read, over
-    `total_tokens` or, without it, the log's `# total_tokens` header.  Memory
+    `total_tokens` or, without it, the sum of the log's `# total_tokens`
+    headers.  Memory
     holds the distinct (field, original, corrected) keys and the corrected
     tokens, not the records.  A `str` is read with universal newlines, as
     the CLI reads a file."""
@@ -326,8 +327,9 @@ def format_log_rows(records: Iterable[CorrectionRecord]) -> str:
 
 
 def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | None]:
-    """The records and the `# total_tokens` header of a log; a `str` is read
-    with universal newlines, as the CLI reads a file."""
+    """The records of a log and the sum of its `# total_tokens` headers (None
+    without one); a `str` is read with universal newlines, as the CLI reads a
+    file."""
     log = _LogReader(source)
     records = list(log)
     return records, log.total
@@ -335,8 +337,9 @@ def read_records(source: str | TextIO) -> tuple[list[CorrectionRecord], int | No
 
 class _LogReader:
     """The records of a correction log, read one at a time as they are
-    iterated; `total` then holds the value of the last `# total_tokens`
-    header read."""
+    iterated; `total` then holds the sum of the `# total_tokens` headers
+    read, so logs written one after another read as one log over all their
+    tokens, or None when there was none."""
 
     def __init__(self, source: str | TextIO):
         self._stream = _text_stream(source)
@@ -350,7 +353,8 @@ class _LogReader:
             if line.startswith("#"):
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] == "total_tokens":
-                    self.total = _parse_int(parts[1], "total_tokens", lineno)
+                    tokens = _parse_int(parts[1], "total_tokens", lineno)
+                    self.total = tokens + (self.total or 0)
                 continue
             fields = line.split("\t")
             if len(fields) != 6:

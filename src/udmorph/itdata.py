@@ -23,11 +23,10 @@ sentence.
 
 from __future__ import annotations
 
-import io
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .conllu import Sentence, _new_tuple
+from .conllu import Sentence, _new_tuple, _text_stream
 
 DEFAULT_INSTRUCTION = "아래의 문장을 의존구조문법에 맞게 분석해줘"
 
@@ -133,10 +132,10 @@ def iter_prediction_blocks(source: str | TextIO) -> Iterator[list[ParsedRow]]:
 
     A block is a run of lines that are not blank, and a line of whitespace
     alone is blank, as splitting the text on `\\n\\s*\\n` would have it.  A
-    `str` breaks into lines at `\\n` only; a stream breaks as it was opened.
-    Memory holds one block.
+    `str` is read with universal newlines, as the CLI reads a file.  Memory
+    holds one block.
     """
-    stream = io.StringIO(source) if isinstance(source, str) else source
+    stream = _text_stream(source)
     block: list[str] = []
     for line in stream:
         if not line.isspace():

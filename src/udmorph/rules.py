@@ -21,17 +21,19 @@ word gets unless a lookahead rule fires, the lookahead rules its word
 pattern matches, the functional-word list its class selects, its first
 morpheme for a neighbour's window).  That bag is the winners', or, when no
 word-internal rule matches, the transcription of a word-final conjunctive
-ending (`Case=<romanized ending>`).  `enrich_sentence` looks up each word's
-verdict once and, in one loop over the sentence, resolves its lookahead
-window against the next words' verdicts and sets its functional flag.
-Verdicts, and bags shared per set of emitted values, are kept in per-pack
-LRU caches of at most `MEMO_SIZE` entries.
+ending (`Case=<romanized ending>`), which `_ending_transcription` spells in
+one pass over the ending's characters.  Every bag the rules assign is built
+by the pack's `_winners_bag` from the (key, value) pairs emitted.
+`enrich_sentence` looks up each word's verdict once and, in one loop over
+the sentence, resolves its lookahead window against the next words'
+verdicts and sets its functional flag.  Verdicts, and bags shared per set
+of emitted values, are kept in per-pack LRU caches of at most `MEMO_SIZE`
+entries.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from functools import lru_cache
 from typing import NamedTuple, TextIO
 
@@ -46,7 +48,6 @@ from .conllu import (
     UdmorphError,
     _text_stream,
 )
-from .romanize import romanize
 
 PACK_HEADER = "#unidive-rules v1"
 
@@ -71,9 +72,6 @@ FEATURE_KEYS = frozenset(
 POSITIONS = ("any", "initial", "final")
 
 _VOICE_PRIORITY_BASE = 9000
-
-# Romanization passes non-hangul characters through; FEATS values may not hold them.
-_NON_FEAT_CHARS = re.compile(r"[^A-Za-z0-9]")
 
 
 class RulePackError(UdmorphError):
@@ -198,11 +196,10 @@ class RulePack:
                 for key, _ in rule.emits:
                     winners.setdefault(key, rule)
         pairs = tuple(winners.items())
-        ending = None if pairs else _ending_transcription(morphemes)
         return Verdict(
             first=morphemes[0] if morphemes else None,
             winners=pairs,
-            bag=self._winners_bag(_emitted(pairs)) if ending is None else ending,
+            bag=self._winners_bag(_emitted(pairs) if pairs else _ending_transcription(morphemes)),
             lookahead=tuple(lookahead),
             functional=_functional_class(morphemes, self),
         )
@@ -215,7 +212,7 @@ def _emitted(winners: tuple[tuple[str, Rule], ...]) -> tuple[tuple[str, str], ..
 
 def _bag_of(emitted: tuple[tuple[str, str], ...]) -> FeatureBag:
     """The bag of `emitted`; `RulePack._winners_bag` shares it among every
-    word whose winners emit the same values."""
+    word whose winners, or whose ending transcription, emit the same values."""
     entries: dict[str, list[str]] = {}
     for key, value in emitted:
         entries.setdefault(key, []).append(value)
@@ -436,15 +433,59 @@ def _context_matches(rule: Rule, window: list[Morpheme]) -> bool:
     )
 
 
-def _ending_transcription(morphemes: tuple[Morpheme, ...]) -> FeatureBag | None:
-    """`Case=<romanized surface>` of a word-final conjunctive ending, the
-    parsed cell's bag, shared by every equal ending and FEATS cell.
-    Characters that a FEATS value cannot hold are dropped; an ending with
-    nothing left gets no transcription."""
+# Revised Romanization, letter by letter: no sound change (sandhi) is applied,
+# so each ending has one transcription.  A hangul syllable is onset + vowel +
+# coda; an isolated compatibility consonant (U+3131..U+314E, all but ㅃ) is
+# read as a coda, as in the contracted ending ㄴ다 -> "nda", and a
+# compatibility vowel (U+314F..U+3163) as its vowel.
+_ONSETS = (
+    "g", "kk", "n", "d", "tt", "r", "m", "b", "pp",
+    "s", "ss", "", "j", "jj", "ch", "k", "t", "p", "h",
+)
+_VOWELS = (
+    "a", "ae", "ya", "yae", "eo", "e", "yeo", "ye", "o", "wa",
+    "wae", "oe", "yo", "u", "wo", "we", "wi", "yu", "eu", "ui", "i",
+)
+_CODAS = (
+    "", "k", "k", "k", "n", "n", "n", "t", "l", "k", "m",
+    "p", "l", "l", "p", "l", "m", "p", "p", "t", "t",
+    "ng", "t", "t", "k", "t", "p", "t",
+)
+_COMPAT_CONSONANTS = {
+    "ㄱ": "k", "ㄲ": "kk", "ㄳ": "k", "ㄴ": "n", "ㄵ": "n", "ㄶ": "n",
+    "ㄷ": "t", "ㄸ": "tt", "ㄹ": "l", "ㄺ": "k", "ㄻ": "m", "ㄼ": "l",
+    "ㄽ": "l", "ㄾ": "l", "ㄿ": "p", "ㅀ": "l", "ㅁ": "m", "ㅂ": "p",
+    "ㅄ": "p", "ㅅ": "s", "ㅆ": "ss", "ㅇ": "ng", "ㅈ": "j", "ㅉ": "jj",
+    "ㅊ": "ch", "ㅋ": "k", "ㅌ": "t", "ㅍ": "p", "ㅎ": "h",
+}
+_COMPAT_VOWEL_BASE = 0x314F  # ㅏ
+_SYLLABLE_BASE = 0xAC00
+_SYLLABLE_COUNT = 11172
+
+
+def _ending_transcription(morphemes: tuple[Morpheme, ...]) -> tuple[tuple[str, str], ...]:
+    """The emission `(("Case", <romanized surface>),)` of a word-final
+    conjunctive ending, or `()`.  Hangul syllables and compatibility jamo are
+    romanized, ASCII letters and digits kept and every other character, which
+    a FEATS value cannot hold, dropped; an ending with nothing left gets no
+    transcription."""
     if not morphemes or morphemes[-1].tag != "EC":
-        return None
-    value = _NON_FEAT_CHARS.sub("", romanize(morphemes[-1].surface))
-    return FeatureBag.from_conllu(f"Case={value}") if value else None
+        return ()
+    parts = []
+    for ch in morphemes[-1].surface:
+        code = ord(ch)
+        if 0 <= code - _SYLLABLE_BASE < _SYLLABLE_COUNT:
+            onset, rest = divmod(code - _SYLLABLE_BASE, 21 * 28)
+            vowel, coda = divmod(rest, 28)
+            parts.append(_ONSETS[onset] + _VOWELS[vowel] + _CODAS[coda])
+        elif ch in _COMPAT_CONSONANTS:
+            parts.append(_COMPAT_CONSONANTS[ch])
+        elif 0 <= code - _COMPAT_VOWEL_BASE < 21:
+            parts.append(_VOWELS[code - _COMPAT_VOWEL_BASE])
+        elif ch.isascii() and ch.isalnum():
+            parts.append(ch)
+    value = "".join(parts)
+    return (("Case", value),) if value else ()
 
 
 def _functional_class(morphemes: tuple[Morpheme, ...], pack: RulePack) -> frozenset[str]:

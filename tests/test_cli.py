@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import udmorph
 from conftest import FIG1_CONLLU, FIG1_FEATS, SEJONG_TREEBANK
 from udmorph.cli import _SPOOL_CHUNK, main
-from udmorph.conllu import SEJONG_TAGS, UdmorphError, parse_conllu
+from udmorph.conllu import SEJONG_TAGS, UdmorphError, parse_conllu, serialize_conllu
 from udmorph.corrections import correct_sentence, format_log_rows, log_header, read_aux_sidecar
 
 
@@ -230,6 +230,34 @@ def test_correct_writes_log_and_stats(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "# UPOS corrections" in captured
     assert "ADV\tNOUN\t1\t0.5000" in captured
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=SEJONG_TREEBANK, cut=st.integers(0, 3))
+@example(text=FIG1_CONLLU * 2, cut=1)
+def test_stats_of_concatenated_logs_is_stats_of_the_whole_corpus_log(text, cut):
+    sentences = parse_conllu(text)
+    parts = {
+        "whole": sentences,
+        "head": sentences[: min(cut, len(sentences))],
+        "tail": sentences[min(cut, len(sentences)) :],
+    }
+    with tempfile.TemporaryDirectory() as workdir:
+        workdir = Path(workdir)
+
+        def stats(log):
+            out = workdir / f"{log.stem}.stats"
+            return main(["stats", str(log), "-o", str(out)]), out.exists() and out.read_bytes()
+
+        logs = {}
+        for name, part in parts.items():
+            source = _write(workdir / f"{name}.conllu", serialize_conllu(part))
+            logs[name] = workdir / f"{name}.tsv"
+            argv = ["correct", source, "--records", str(logs[name]), "-o", str(workdir / "out")]
+            assert main(argv) == 0
+        both = workdir / "both.tsv"
+        both.write_bytes(logs["head"].read_bytes() + logs["tail"].read_bytes())
+        assert stats(both) == stats(logs["whole"])
 
 
 def test_an_unwritable_correction_log_exits_2_before_any_output(tmp_path, capsys):
@@ -535,20 +563,6 @@ def test_stats_one_record_per_category(tmp_path, capsys):
     assert "ADV\tNOUN\t1\t0.0100" in out
 
 
-def test_rules_env_var_sets_default_pack(tmp_path, monkeypatch):
-    custom = (
-        "#unidive-rules v1\n"
-        "language ko\n"
-        "rule only 10 tag=NNG => Number=Plur\n"
-    )
-    pack_path = _write(tmp_path / "tiny.rules", custom)
-    src = _write(tmp_path / "in.conllu", "1\t학교\t학교\tNOUN\tNNG\t_\t0\troot\t_\t_\n\n")
-    out = tmp_path / "out.conllu"
-    monkeypatch.setenv("UDMORPH_RULES", pack_path)
-    assert main(["enrich", src, "-o", str(out)]) == 0
-    assert "Number=Plur" in out.read_text(encoding="utf-8")
-
-
 _TINY_PACK = "#unidive-rules v1\nlanguage ko\nrule only 10 tag=NNG => Number=Plur\n"
 _AUX = "fixture-1\t1\tPER\t_\n"
 _LOG = "# total_tokens\t10\ns1\t1\tUPOS\tADV\tNOUN\tr\n"
@@ -735,11 +749,11 @@ print(" ".join(m for m in costly if m in sys.modules))
         (["validate", "in.conllu"], "cli conllu", ""),
         (["convert-it", "in.conllu", "-o", "out"], "cli conllu itdata", "json"),
         (["eval", "in.conllu", "pred.txt", "-o", "out"], "cli conllu evaluate itdata", ""),
-        (["enrich", "in.conllu", "-o", "out"], "cli conllu romanize rules", ""),
+        (["enrich", "in.conllu", "-o", "out"], "cli conllu rules", ""),
         (["stats", "log.tsv", "-o", "out"], "cli conllu corrections", ""),
         (
             ["correct", "in.conllu", "--aux", "aux.tsv", "--records", "log.out", "-o", "out"],
-            "cli conllu corrections romanize rules",
+            "cli conllu corrections rules",
             "",
         ),
     ],

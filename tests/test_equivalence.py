@@ -1,15 +1,17 @@
 """The rewritten parse, prediction reader, `validate`, `enrich_sentence`,
-`correct_sentence` and `to_it_record` against the versions they replaced,
-kept here as they were, with the cells of a CoNLL-U row as they were
-spelled: on any input each must give the same result, or the same error
-text and line, or the same diagnostics in the same order.  The old versions
-call the helpers the rewrite left as they were (`_split_plus`,
-`_misalignment`, `_parse_feats`, `_id_error`, `_long_int`,
-`_context_matches`, `_emitted`, `_retagged`) from the package."""
+ending transcription, `correct_sentence` and `to_it_record` against the
+versions they replaced, kept here as they were, with the cells of a
+CoNLL-U row as they were spelled: on any input each must give the same
+result, or the same error text and line, or the same diagnostics in the
+same order.  The old versions call the helpers the rewrite left as they
+were (`_split_plus`, `_misalignment`, `_parse_feats`, `_id_error`,
+`_long_int`, `_context_matches`, `_emitted`, `_retagged`) from the
+package."""
 
 import contextlib
 import copy
 import io
+import re
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from udmorph.conllu import (
     ConlluError,
     Diagnostic,
     FeatureBag,
+    Morpheme,
     Sentence,
     Token,
     _cycle_entries,
@@ -50,11 +53,10 @@ from udmorph.corrections import (
     correct_sentence,
 )
 from udmorph.itdata import _INT_RE, _MAX_DIGITS, _SMALL_INT_BOUND, ParsedRow, _long_int
-from udmorph.romanize import romanize
 from udmorph.rules import (
-    _NON_FEAT_CHARS,
     _context_matches,
     _emitted,
+    _ending_transcription,
     _misc_with_flag,
     enrich_sentence,
 )
@@ -289,10 +291,57 @@ def _old_validate(sentences, start=1):
     return diagnostics
 
 
+_OLD_ONSETS = (
+    "g", "kk", "n", "d", "tt", "r", "m", "b", "pp",
+    "s", "ss", "", "j", "jj", "ch", "k", "t", "p", "h",
+)
+_OLD_VOWELS = (
+    "a", "ae", "ya", "yae", "eo", "e", "yeo", "ye", "o", "wa",
+    "wae", "oe", "yo", "u", "wo", "we", "wi", "yu", "eu", "ui", "i",
+)
+_OLD_CODAS = (
+    "", "k", "k", "k", "n", "n", "n", "t", "l", "k", "m",
+    "p", "l", "l", "p", "l", "m", "p", "p", "t", "t",
+    "ng", "t", "t", "k", "t", "p", "t",
+)
+_OLD_COMPAT_CONSONANTS = {
+    "ㄱ": "k", "ㄲ": "kk", "ㄳ": "k", "ㄴ": "n", "ㄵ": "n", "ㄶ": "n",
+    "ㄷ": "t", "ㄸ": "tt", "ㄹ": "l", "ㄺ": "k", "ㄻ": "m", "ㄼ": "l",
+    "ㄽ": "l", "ㄾ": "l", "ㄿ": "p", "ㅀ": "l", "ㅁ": "m", "ㅂ": "p",
+    "ㅄ": "p", "ㅅ": "s", "ㅆ": "ss", "ㅇ": "ng", "ㅈ": "j", "ㅉ": "jj",
+    "ㅊ": "ch", "ㅋ": "k", "ㅌ": "t", "ㅍ": "p", "ㅎ": "h",
+}
+
+
+def _old_romanize(text):
+    """The `romanize` module's function: hangul syllables and jamo
+    romanized, other characters passed through."""
+    parts = []
+    for ch in text:
+        code = ord(ch)
+        if 0 <= code - 0xAC00 < 11172:
+            onset, rest = divmod(code - 0xAC00, 21 * 28)
+            vowel, coda = divmod(rest, 28)
+            parts.append(_OLD_ONSETS[onset] + _OLD_VOWELS[vowel] + _OLD_CODAS[coda])
+        elif ch in _OLD_COMPAT_CONSONANTS:
+            parts.append(_OLD_COMPAT_CONSONANTS[ch])
+        elif 0 <= code - 0x314F < 21:
+            parts.append(_OLD_VOWELS[code - 0x314F])
+        else:
+            parts.append(ch)
+    return "".join(parts)
+
+
+def _old_transcription(surface):
+    """An ending's transcription as it was made: romanized, then stripped of
+    what `romanize` passed through and a FEATS value cannot hold."""
+    return re.sub(r"[^A-Za-z0-9]", "", _old_romanize(surface))
+
+
 def _old_ending_transcription(morphemes):
     if not morphemes or morphemes[-1].tag != "EC":
         return None
-    value = _NON_FEAT_CHARS.sub("", romanize(morphemes[-1].surface))
+    value = _old_transcription(morphemes[-1].surface)
     return ("Case", value) if value else None
 
 
@@ -621,6 +670,47 @@ def test_enrich_gives_what_the_two_loop_enrich_gave(pack, text):
         once = enrich_sentence(sentence, pack)
         assert once == expected
         assert enrich_sentence(once, pack) == _old_enrich_sentence(once, copy.copy(pack))
+
+
+def _transcription_outcome(surface):
+    return _ending_transcription((Morpheme(surface, "EC"),))
+
+
+def _old_transcription_outcome(surface):
+    value = _old_transcription(surface)
+    return (("Case", value),) if value else ()
+
+
+def test_every_bmp_character_transcribes_as_romanize_then_strip_did():
+    for code in range(0x10000):
+        if 0xD800 <= code < 0xE000:  # surrogates are no characters
+            continue
+        ch = chr(code)
+        assert _transcription_outcome(ch) == _old_transcription_outcome(ch), hex(code)
+
+
+# endings mixing hangul syllables, compatibility jamo (U+3131..U+318E, past the
+# romanized range too), ASCII and any other character
+_ENDING_TEXT = st.text(
+    st.one_of(
+        st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
+        st.characters(min_codepoint=0x3130, max_codepoint=0x318F),
+        st.characters(max_codepoint=0x7F),
+        st.characters(),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(surface=_ENDING_TEXT, tag=st.sampled_from(["EC", "EF", "NNG"]), before=st.booleans())
+@example(surface="x고!", tag="EC", before=False)
+@example(surface="ㄹ수록", tag="EC", before=True)
+@example(surface="-", tag="EC", before=False)  # nothing left
+def test_an_ending_transcribes_as_romanize_then_strip_did(surface, tag, before):
+    morphemes = ((Morpheme("가", "VV"),) if before else ()) + (Morpheme(surface, tag),)
+    old = _old_ending_transcription(morphemes)
+    assert _ending_transcription(morphemes) == (() if old is None else (old,))
 
 
 # -- correct ----------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,26 @@ def test_outputs_match_golden_bytes(tmp_path):
     assert {"ext-xpos", "ner-propn", "ner-common"} <= fired
     for name, data in outputs.items():
         assert data == (GOLDEN / name).read_bytes(), f"{name} differs from tests/golden/{name}"
+
+
+def test_the_packaged_pack_loads_from_a_zip(tmp_path):
+    package = Path(udmorph.__file__).resolve().parent
+    archive = tmp_path / "udmorph.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zipped.write(path, Path("udmorph", path.relative_to(package)).as_posix())
+    (tmp_path / "corpus.conllu").write_text(corpus(), encoding="utf-8")
+    # -S and the zip alone on the path: no other copy of udmorph can be imported
+    result = subprocess.run(
+        [sys.executable, "-S", "-m", "udmorph", "enrich", "corpus.conllu", "-o", "enriched.conllu"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(archive)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "enriched.conllu").read_bytes() == (GOLDEN / "enriched.conllu").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["enriched.conllu", "corrected.conllu"])

@@ -1,6 +1,15 @@
+"""The romanized transcription of a conjunctive ending, case by case."""
+
 import pytest
 
-from udmorph.romanize import romanize
+from udmorph.conllu import Morpheme
+from udmorph.rules import _ending_transcription
+
+
+def _transcribe(surface):
+    """The `Case` value a word-final ending `surface` gets, "" for none."""
+    emission = _ending_transcription((Morpheme(surface, "EC"),))
+    return emission[0][1] if emission else ""
 
 
 @pytest.mark.parametrize(
@@ -20,17 +29,18 @@ from udmorph.romanize import romanize
     ],
 )
 def test_full_syllables(hangul, expected):
-    assert romanize(hangul) == expected
+    assert _transcribe(hangul) == expected
 
 
 def test_compat_vowel_alone():
-    assert romanize("ㅏ") == "a"
+    assert _transcribe("ㅏ") == "a"
 
 
 def test_compat_jamo_as_coda():
-    assert romanize("ㄴ데") == "nde"
-    assert romanize("ㄹ수록") == "lsurok"
+    assert _transcribe("ㄴ데") == "nde"
+    assert _transcribe("ㄹ수록") == "lsurok"
 
 
 def test_non_hangul_passthrough():
-    assert romanize("x고!") == "xgo!"
+    # ASCII letters and digits pass through; what a FEATS value cannot hold is dropped
+    assert _transcribe("x고!") == "xgo"

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_FIXTURES, HANGUL, SEGMENT_CHARS, SEJONG_TREEBANK, make_sentence
+from test_equivalence import _old_transcription
 from udmorph import conllu
 from udmorph.conllu import MEMO_SIZE, FeatureBag, Token, parse_conllu, serialize_conllu, validate
 from udmorph.corrections import correct_sentence
-from udmorph.romanize import romanize
 from udmorph.rules import (
     PACK_HEADER,
     MorphPattern,
@@ -273,7 +273,7 @@ def _reference_ending(morphemes):
     """`Case=<romanized surface>` of a word-final EC, characters outside
     [A-Za-z0-9] dropped; an empty bag when there is none or nothing is left."""
     if morphemes and morphemes[-1].tag == "EC":
-        value = "".join(c for c in romanize(morphemes[-1].surface) if c.isascii() and c.isalnum())
+        value = _old_transcription(morphemes[-1].surface)
         if value:
             return FeatureBag({"Case": [value]})
     return FeatureBag()

@@ -7,8 +7,9 @@ one tab-joined string, once, in `_token_cells`: it checks the tags and the
 alignment, shares one FEATS bag (`_parse_feats`) and builds no morphemes.
 A token's aligned (surface, tag) morpheme pairs come from `_morphemes`,
 which splits each (LEMMA, XPOS) shape once and shares the result among
-every token of that shape.  Every memo in the
-package is an LRU cache bounded by `MEMO_SIZE`.
+every token of that shape.  `validate` clears a clean sentence in one pass
+over its columns, judging each shape and subtyped DEPREL once, in
+`_clean_shape` and `_clean_deprel`.  Every memo is an LRU cache of `MEMO_SIZE`.
 Multiword-token ranges (`1-2`) and empty nodes (`1.1`) are carried verbatim
 and excluded from the token list and from all structural checks.
 `write_conllu` renders each token row with one f-string from the token's
@@ -23,6 +24,7 @@ import io
 import re
 import sys
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 COLUMN_COUNT = 10
@@ -31,7 +33,8 @@ COLUMN_COUNT = 10
 # so a stream of ever new values cannot grow memory.  The memos are
 # `conllu._parse_feats` (FEATS cells), `conllu._token_cells` (a token line's
 # raw LEMMA, UPOS, XPOS and FEATS cells, joined), `conllu._morphemes` (split word
-# shapes), and a rule pack's `verdict` and `_winners_bag`.
+# shapes), `conllu._clean_shape` and `conllu._clean_deprel` (the shapes and
+# DEPRELs `validate` judged), and a rule pack's `verdict` and `_winners_bag`.
 MEMO_SIZE = 4096
 
 # Sejong morpheme tag inventory (closed set).
@@ -204,6 +207,7 @@ def _parse_feats(text: str) -> FeatureBag:
 # Builds a record from the tuple of its values in one C-level call, without
 # the Python-level `__new__` of a NamedTuple: `_new_tuple(Token, values)`.
 _new_tuple = tuple.__new__
+_VERDICT = attrgetter("_verdict")
 
 
 class Morpheme(NamedTuple):
@@ -517,6 +521,20 @@ def _with_extras(rows: list[str], extras: tuple[tuple[int, str], ...]) -> list[s
     return lines
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _clean_shape(lemma: str, xpos: str) -> bool:
+    """Whether a (LEMMA, XPOS) shape surely passes `_check_morphemes`."""
+    segments, tags = lemma.split("+"), xpos.split("+")
+    return (len(segments) == len(tags) and SEJONG_TAGS.issuperset(tags)
+            and "" not in segments and "\t" not in lemma)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _clean_deprel(deprel: str) -> bool:
+    """Whether a DEPREL is set and its universal part is one of UD's."""
+    return deprel.partition(":")[0] in UD_RELATIONS
+
+
 def _check_morphemes(token_id: int, lemma: str, xpos: str, report) -> None:
     # the raw columns, not token.morphemes: a misaligned token is reported
     segments, tags = _split_plus(lemma), _split_plus(xpos)
@@ -561,13 +579,30 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
 
     A sentence without a `sent_id`, or whose `sent_id` holds a tab (which
     no tab-separated file can carry), is named by its position, counted from
-    `start`.  Linear in each sentence's length.  A token's LEMMA and XPOS go
-    through `_check_morphemes` only when a quick split of them fails, and a
-    bag's FEATS are read key by key only when its verdict, settled when the
-    bag was built, is false."""
+    `start`.  Each sentence is first checked column by column, its tree by
+    pointer jumping; only one this pass cannot clear goes token by token,
+    with `_check_morphemes` for a shape `_clean_shape` does not clear and
+    FEATS read key by key for a bag whose verdict is false."""
     diagnostics: list[Diagnostic] = []
     for index, sentence in enumerate(sentences, start=start):
         sent_id = sentence.sent_id or ""
+        tokens = sentence.tokens
+        n = len(tokens)
+        extras = sentence.extras
+        if tokens and "\t" not in sent_id and (not extras or all(0 <= i <= n for i, _ in extras)):
+            ids, _, lemmas, xposes, upostags, bags, head_ids, deprels, _, _ = zip(*tokens)
+            if (ids == tuple(range(1, n + 1)) and UPOS_TAGS.issuperset(upostags)
+                    and all(map(_VERDICT, bags)) and all(map(_clean_shape, lemmas, xposes))
+                    and (UD_RELATIONS.issuperset(deprels) or all(map(_clean_deprel, deprels)))
+                    and head_ids.count(0) == 1 and deprels.count("root") == 1
+                    and deprels[head_ids.index(0)] == "root"
+                    and all(map(int.__instancecheck__, head_ids))
+                    and 0 <= min(head_ids) and max(head_ids) <= n):
+                walk = (0, *head_ids)  # after k rounds, walk[x] is 2**k heads above x, or 0
+                for _ in range(n.bit_length()):
+                    walk = itemgetter(*walk)(walk) if any(walk) else walk
+                if not any(walk):  # every token reaches 0 within n hops: no cycle
+                    continue
         sid = sent_id if sent_id and "\t" not in sent_id else str(index)
 
         def report(token_id: int | None, rule: str, message: str, _sid=sid):
@@ -576,9 +611,7 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
         if "\t" in sent_id:
             report(None, "sent-id", f"sent_id {sent_id!r} holds a tab")
 
-        tokens = sentence.tokens
-        n = len(tokens)
-        for extra_index, _ in sentence.extras:
+        for extra_index, _ in extras:
             if not 0 <= extra_index <= n:
                 report(None, "extra-position", f"extra line at index {extra_index} outside 0..{n}")
 
@@ -589,14 +622,11 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
             token_id, _, lemma, xpos, upos, feats, head, deprel, _, _ = token
             if token_id != position:
                 report(token_id, "id-sequence", f"expected id {position}, got {token_id}")
-            segments = lemma.split("+")
-            tags = xpos.split("+")
-            if (len(segments) != len(tags) or not SEJONG_TAGS.issuperset(tags)
-                    or "" in segments or "\t" in lemma):
+            if not _clean_shape(lemma, xpos):
                 _check_morphemes(token_id, lemma, xpos, report)
             if upos not in UPOS_TAGS:
                 report(token_id, "upos-value", f"invalid UPOS {upos!r}")
-            if deprel and deprel.partition(":")[0] not in UD_RELATIONS:
+            if deprel and not _clean_deprel(deprel):
                 report(token_id, "deprel-value", f"invalid DEPREL {deprel!r}")
             if not feats._verdict:
                 for key, values in feats.items():
@@ -616,7 +646,7 @@ def validate(sentences: Iterable[Sentence], start: int = 1) -> list[Diagnostic]:
             elif head is None:
                 head_problems.append((token_id, "head-missing", "missing HEAD value"))
             else:
-                if head > n:
+                if not 0 < head <= n:
                     head_problems.append((token_id, "head-range", f"head {head} outside 0..{n}"))
                 if deprel == "root":
                     head_problems.append(

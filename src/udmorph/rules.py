@@ -435,9 +435,9 @@ def _context_matches(rule: Rule, window: list[Morpheme]) -> bool:
 
 # Revised Romanization, letter by letter: no sound change (sandhi) is applied,
 # so each ending has one transcription.  A hangul syllable is onset + vowel +
-# coda; an isolated compatibility consonant (U+3131..U+314E, all but ㅃ) is
-# read as a coda, as in the contracted ending ㄴ다 -> "nda", and a
-# compatibility vowel (U+314F..U+3163) as its vowel.
+# coda; an isolated compatibility consonant (U+3131..U+314E) is read as a
+# coda, as in the contracted ending ㄴ다 -> "nda", and a compatibility vowel
+# (U+314F..U+3163) as its vowel.
 _ONSETS = (
     "g", "kk", "n", "d", "tt", "r", "m", "b", "pp",
     "s", "ss", "", "j", "jj", "ch", "k", "t", "p", "h",
@@ -455,8 +455,8 @@ _COMPAT_CONSONANTS = {
     "ㄱ": "k", "ㄲ": "kk", "ㄳ": "k", "ㄴ": "n", "ㄵ": "n", "ㄶ": "n",
     "ㄷ": "t", "ㄸ": "tt", "ㄹ": "l", "ㄺ": "k", "ㄻ": "m", "ㄼ": "l",
     "ㄽ": "l", "ㄾ": "l", "ㄿ": "p", "ㅀ": "l", "ㅁ": "m", "ㅂ": "p",
-    "ㅄ": "p", "ㅅ": "s", "ㅆ": "ss", "ㅇ": "ng", "ㅈ": "j", "ㅉ": "jj",
-    "ㅊ": "ch", "ㅋ": "k", "ㅌ": "t", "ㅍ": "p", "ㅎ": "h",
+    "ㅃ": "pp", "ㅄ": "p", "ㅅ": "s", "ㅆ": "ss", "ㅇ": "ng", "ㅈ": "j",
+    "ㅉ": "jj", "ㅊ": "ch", "ㅋ": "k", "ㅌ": "t", "ㅍ": "p", "ㅎ": "h",
 }
 _COMPAT_VOWEL_BASE = 0x314F  # ㅏ
 _SYLLABLE_BASE = 0xAC00

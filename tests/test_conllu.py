@@ -3,6 +3,7 @@ import io
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -543,6 +544,47 @@ def test_head_cycle_check_matches_the_per_token_walk(vector):
 def test_validate_head_range():
     sentence = make_sentence([("학교", "학교", "NNG", "NOUN")], heads=[9], deprels=["dep"])
     assert any(d.rule == "head-range" for d in validate([sentence]))
+
+
+def test_validate_reports_a_negative_head_which_would_not_read_back():
+    words = [("학교", "학교", "NNG", "NOUN"), ("좋다", "좋+다", "VA+EF", "ADJ")]
+    sentence = make_sentence(words, sent_id="s", heads=[-1, 0])
+    assert [str(d) for d in validate([sentence])] == ["[head-range] s:1: head -1 outside 0..2"]
+    with pytest.raises(ConlluError, match="invalid HEAD value '-1'"):
+        parse_conllu(serialize_conllu([sentence]))
+
+
+def _clean_chains(count, tag, longest):
+    """`count` clean head-final chains, each with a LEMMA and a DEPREL no
+    other holds: the first `longest` of lengths 1 to `longest`, the rest of
+    1 to 4 words."""
+    for i in range(count):
+        n = 1 + i % (longest if i < longest else 4)
+        lemma, deprel = f"{tag}{i}", f"dep:{tag}{i}"
+        yield Sentence(tokens=tuple([
+            Token(k, "x", lemma, "NNG", "NOUN", head=(k + 1) % (n + 1), deprel="root" if k == n else deprel)
+            for k in range(1, n + 1)
+        ]))
+
+
+def test_validate_holds_no_memory_per_shape_deprel_or_sentence_length():
+    def peak(count, tag):
+        """The traced peak of `validate` over new chains, above the start."""
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert validate(_clean_chains(count, tag, 600)) == []
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        # one-word sentences fill the shape and DEPREL memos, traced, and
+        # turn them over until their tables stop growing, so each new entry
+        # from here on frees the one it evicts; no length past 1 is seen yet
+        assert validate(_clean_chains(3 * MEMO_SIZE, "w", 1)) == []
+        # a tuple of ids kept per length 1..600 would hold about 1.5 MB
+        assert peak(20_000, "a") - peak(1, "b") <= 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_validate_checks_the_universal_part_of_each_deprel():

@@ -36,6 +36,11 @@ def test_compat_vowel_alone():
     assert _transcribe("ㅏ") == "a"
 
 
+@pytest.mark.parametrize("jamo,expected", [("ㄲ", "kk"), ("ㄸ", "tt"), ("ㅃ", "pp"), ("ㅆ", "ss"), ("ㅉ", "jj")])
+def test_compat_double_consonant_alone(jamo, expected):
+    assert _transcribe(jamo) == expected
+
+
 def test_compat_jamo_as_coda():
     assert _transcribe("ㄴ데") == "nde"
     assert _transcribe("ㄹ수록") == "lsurok"

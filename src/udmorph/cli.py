@@ -20,16 +20,20 @@ format error.
 Each `_cmd_*` imports only the stages it runs and calls them through their
 module (`rules.enrich_sentence`), so a swapped module attribute sees every call.
 Start-up is paid on every command of a pipe, so no stage imports `logging`,
-`dataclasses`, `importlib.resources` or `decimal`, and only `convert-it`
-loads `json`.
+`dataclasses`, `importlib.resources` or `decimal`, only `convert-it` loads
+`json`, and only `validate` loads the checks of `conllu.validate`
+(`validation`).  Each command's arguments are declared once, in `_COMMANDS`.
+`_read_argv` reads a command line that spells them exactly as declared;
+argparse, with `gettext` and `locale`, loads only for any other command
+line: help, errors and other spellings (`--output=FILE`, `--rec`, `--`).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
+from types import SimpleNamespace
 from typing import Iterator, TextIO
 
 from . import conllu
@@ -139,7 +143,7 @@ def _load_pack(path: str | None) -> rules.RulePack:
         return rules.load_rule_pack(stream)
 
 
-def _require_inputs(args: argparse.Namespace) -> None:
+def _require_inputs(args: SimpleNamespace) -> None:
     """Fail fast, before any output is produced, on an unreadable input or on
     stdin ('-') named for more than one input."""
     given = [("inputs", path) for path in getattr(args, "inputs", [])]
@@ -153,7 +157,7 @@ def _require_inputs(args: argparse.Namespace) -> None:
                 pass
 
 
-def _stream_sentences(args: argparse.Namespace) -> Iterator[conllu.Sentence]:
+def _stream_sentences(args: SimpleNamespace) -> Iterator[conllu.Sentence]:
     for path in args.inputs:
         with _open_or_stdio(path) as stream:
             try:
@@ -162,75 +166,7 @@ def _stream_sentences(args: argparse.Namespace) -> Iterator[conllu.Sentence]:
                 raise conllu.ConlluError(f"{path}: {error}") from None
 
 
-def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "inputs", nargs="*", default=["-"], help="CoNLL-U file(s), '-' for stdin"
-    )
-    parser.add_argument("--lenient", action="store_true", help="map unknown XPOS tags to NA")
-
-
-def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_input_arguments(parser)
-    parser.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
-
-
-def _add_rules_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--rules",
-        help="rule-pack file (default: the packaged Korean pack)",
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="udmorph",
-        description="Morphosyntactic enrichment, correction and evaluation for CoNLL-U treebanks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check structural and annotation invariants")
-    _add_input_arguments(p)
-
-    p = sub.add_parser("enrich", help="assign morphosyntactic features from the rule pack")
-    _add_io_arguments(p)
-    _add_rules_argument(p)
-
-    p = sub.add_parser("correct", help="apply systematic POS/XPOS corrections")
-    _add_io_arguments(p)
-    _add_rules_argument(p)
-    p.add_argument("--aux", default=None, help="NER/tagger sidecar file")
-    p.add_argument("--records", default=None, help="write the correction log here")
-
-    p = sub.add_parser("stats", help="summarize a correction log as conversion tables")
-    p.add_argument("input", nargs="?", default="-", help="correction log, '-' for stdin")
-    p.add_argument("-o", "--output", default="-")
-    p.add_argument(
-        "--total-tokens",
-        type=int,
-        default=None,
-        help="ratio denominator (default: the log's total_tokens header)",
-    )
-
-    p = sub.add_parser("convert-it", help="convert a treebank to instruction-tuning JSONL")
-    _add_io_arguments(p)
-    p.add_argument(
-        "--instruction",
-        default=None,
-        help="instruction text placed before the input block (default: the packaged one)",
-    )
-
-    p = sub.add_parser("eval", help="score predictions against gold (UAS/LAS)")
-    p.add_argument("gold", help="gold CoNLL-U file, '-' for stdin")
-    p.add_argument("predictions", help="predicted blocks, blank-line separated, '-' for stdin")
-    p.add_argument("-o", "--output", default="-")
-    p.add_argument("--lenient", action="store_true")
-    p.add_argument(
-        "--exclude-punct", action="store_true", help="skip PUNCT gold tokens when scoring"
-    )
-    return parser
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     failures = 0
     for index, sentence in enumerate(_stream_sentences(args), start=1):
         for diagnostic in conllu.validate([sentence], start=index):
@@ -239,7 +175,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_enrich(args: argparse.Namespace) -> int:
+def _cmd_enrich(args: SimpleNamespace) -> int:
     from . import rules
 
     pack = _load_pack(args.rules)
@@ -249,9 +185,11 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_correct(args: argparse.Namespace) -> int:
+def _cmd_correct(args: SimpleNamespace) -> int:
     from . import corrections
 
+    if args.records == "-":
+        raise conllu.UdmorphError("--records must name a file, not '-'")
     if args.records is not None and args.output != "-":
         log_target = _replaced_target(args.records)
         if log_target is not None and log_target == _replaced_target(args.output):
@@ -300,7 +238,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: SimpleNamespace) -> int:
     from . import corrections
 
     with _open_or_stdio(args.input) as stream:
@@ -310,7 +248,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_convert_it(args: argparse.Namespace) -> int:
+def _cmd_convert_it(args: SimpleNamespace) -> int:
     from . import itdata
 
     instruction = itdata.DEFAULT_INSTRUCTION if args.instruction is None else args.instruction
@@ -320,7 +258,7 @@ def _cmd_convert_it(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     from . import evaluate, itdata
 
     with _open_or_stdio(args.gold) as gold, _open_or_stdio(args.predictions) as predicted:
@@ -334,21 +272,156 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command's handler, help line and arguments, declared once: both the
+# strict reader `_read_argv` and the argparse parser `_build_parser` read
+# them.  An argument is its names and the keywords `add_argument` takes; the
+# reader knows `nargs` ("*", "?" or, when absent, one required value),
+# `default`, `action="store_true"` and `type=int`.
+_INPUTS = (("inputs",), {"nargs": "*", "default": ["-"], "help": "CoNLL-U file(s), '-' for stdin"})
+_LENIENT = (("--lenient",), {"action": "store_true", "help": "map unknown XPOS tags to NA"})
+_OUTPUT = (("-o", "--output"), {"default": "-", "help": "output file, '-' for stdout"})
+_RULES = (("--rules",), {"help": "rule-pack file (default: the packaged Korean pack)"})
+
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "enrich": _cmd_enrich,
-    "correct": _cmd_correct,
-    "stats": _cmd_stats,
-    "convert-it": _cmd_convert_it,
-    "eval": _cmd_eval,
+    "validate": (
+        _cmd_validate,
+        "check structural and annotation invariants",
+        (_INPUTS, _LENIENT),
+    ),
+    "enrich": (
+        _cmd_enrich,
+        "assign morphosyntactic features from the rule pack",
+        (_INPUTS, _LENIENT, _OUTPUT, _RULES),
+    ),
+    "correct": (
+        _cmd_correct,
+        "apply systematic POS/XPOS corrections",
+        (
+            _INPUTS,
+            _LENIENT,
+            _OUTPUT,
+            _RULES,
+            (("--aux",), {"help": "NER/tagger sidecar file"}),
+            (("--records",), {"help": "write the correction log here"}),
+        ),
+    ),
+    "stats": (
+        _cmd_stats,
+        "summarize a correction log as conversion tables",
+        (
+            (("input",), {"nargs": "?", "default": "-", "help": "correction log, '-' for stdin"}),
+            (("-o", "--output"), {"default": "-"}),
+            (
+                ("--total-tokens",),
+                {"type": int, "help": "ratio denominator (default: the log's total_tokens header)"},
+            ),
+        ),
+    ),
+    "convert-it": (
+        _cmd_convert_it,
+        "convert a treebank to instruction-tuning JSONL",
+        (
+            _INPUTS,
+            _LENIENT,
+            _OUTPUT,
+            (
+                ("--instruction",),
+                {"help": "instruction text placed before the input block (default: the packaged one)"},
+            ),
+        ),
+    ),
+    "eval": (
+        _cmd_eval,
+        "score predictions against gold (UAS/LAS)",
+        (
+            (("gold",), {"help": "gold CoNLL-U file, '-' for stdin"}),
+            (("predictions",), {"help": "predicted blocks, blank-line separated, '-' for stdin"}),
+            (("-o", "--output"), {"default": "-"}),
+            (("--lenient",), {"action": "store_true"}),
+            (("--exclude-punct",), {"action": "store_true", "help": "skip PUNCT gold tokens when scoring"}),
+        ),
+    ),
 }
 
 
+def _is_value(arg: str) -> bool:
+    return arg == "-" or not arg.startswith("-")
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for `argv` when it names a command, spells
+    each option exactly as `_COMMANDS` does (`--opt VALUE` or a flag) and
+    gives the positionals in one run, each value '-' or not starting with
+    '-'; None for anything else (help, errors, `--opt=VALUE`, abbreviations,
+    `--`), which `_build_parser` parses."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values: dict[str, object] = {"command": argv[0]}
+    options, positionals = {}, []
+    for names, settings in _COMMANDS[argv[0]][2]:
+        if names[0].startswith("-"):
+            dest, flag = names[-1][2:].replace("-", "_"), settings.get("action") == "store_true"
+            values[dest] = False if flag else settings.get("default")
+            options.update(dict.fromkeys(names, (dest, flag, settings.get("type", str))))
+        else:
+            positionals.append((names[0], settings))
+    given: list[str] = []
+    run_ended = False  # an option came after the positionals
+    rest = iter(argv[1:])
+    for arg in rest:
+        if _is_value(arg):
+            if run_ended:
+                return None
+            given.append(arg)
+            continue
+        if arg not in options:
+            return None
+        run_ended = bool(given)
+        dest, flag, kind = options[arg]
+        if flag:
+            values[dest] = True
+            continue
+        value = next(rest, "--")  # "--", no value, when the line ends here
+        if not _is_value(value):
+            return None
+        try:
+            values[dest] = kind(value)
+        except ValueError:
+            return None
+    for dest, settings in positionals:
+        nargs = settings.get("nargs")
+        if nargs == "*":
+            values[dest], given = given or settings["default"], []
+        elif given:
+            values[dest] = given.pop(0)
+        elif nargs == "?":
+            values[dest] = settings["default"]
+        else:
+            return None
+    return None if given else SimpleNamespace(**values)
+
+
+def _build_parser():
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="udmorph",
+        description="Morphosyntactic enrichment, correction and evaluation for CoNLL-U treebanks",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for names, settings in arguments:
+            p.add_argument(*names, **settings)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         _require_inputs(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (conllu.UdmorphError, OSError, UnicodeDecodeError) as error:
         print(f"udmorph {args.command}: {error}", file=sys.stderr)
         return 2

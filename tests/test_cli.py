@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import udmorph
 from conftest import FIG1_CONLLU, FIG1_FEATS, SEJONG_TREEBANK
+from udmorph import cli
 from udmorph.cli import _SPOOL_CHUNK, main
 from udmorph.conllu import SEJONG_TAGS, UdmorphError, parse_conllu, serialize_conllu
 from udmorph.corrections import correct_sentence, format_log_rows, log_header, read_aux_sidecar
@@ -267,6 +269,16 @@ def test_an_unwritable_correction_log_exits_2_before_any_output(tmp_path, capsys
     assert main(["correct", src, "-o", str(out), "--records", str(log)]) == 2
     assert "log.tsv" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "out.conllu"]], ids=["stdout", "file"])
+def test_a_correction_log_named_dash_exits_2_before_any_output(tmp_path, monkeypatch, capsys, output):
+    monkeypatch.chdir(tmp_path)
+    src = _write(tmp_path / "in.conllu", FIG1_CONLLU)
+    assert main(["correct", src, "--records", "-", *output]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "udmorph correct: --records must name a file, not '-'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["in.conllu"]
 
 
 def test_correct_warns_about_aux_entries_matching_no_sentence(tmp_path, capsys):
@@ -735,9 +747,15 @@ import sys
 import udmorph
 if sys.argv[1:]:
     import udmorph.cli
-    udmorph.cli.main(sys.argv[1:])
+    try:
+        udmorph.cli.main(sys.argv[1:])
+    except SystemExit as exit_:
+        assert exit_.code == 0, exit_.code
 print(" ".join(sorted(m for m in sys.modules if m.startswith("udmorph."))))
-costly = ("decimal", "dataclasses", "importlib.resources", "inspect", "json", "logging", "pkgutil")
+costly = (
+    "argparse", "decimal", "dataclasses", "gettext", "importlib.resources", "inspect", "json",
+    "locale", "logging", "pkgutil",
+)
 print(" ".join(m for m in costly if m in sys.modules))
 """
 
@@ -746,7 +764,7 @@ print(" ".join(m for m in costly if m in sys.modules))
     "argv,modules,stdlib",
     [
         ([], "", ""),
-        (["validate", "in.conllu"], "cli conllu", ""),
+        (["validate", "in.conllu"], "cli conllu validation", ""),
         (["convert-it", "in.conllu", "-o", "out"], "cli conllu itdata", "json"),
         (["eval", "in.conllu", "pred.txt", "-o", "out"], "cli conllu evaluate itdata", ""),
         (["enrich", "in.conllu", "-o", "out"], "cli conllu rules", ""),
@@ -756,8 +774,10 @@ print(" ".join(m for m in costly if m in sys.modules))
             "cli conllu corrections rules",
             "",
         ),
+        # only a command line the strict reader declines loads argparse
+        (["enrich", "--help"], "cli conllu", "argparse gettext locale"),
     ],
-    ids=["import", "validate", "convert-it", "eval", "enrich", "stats", "correct"],
+    ids=["import", "validate", "convert-it", "eval", "enrich", "stats", "correct", "help"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, stdlib):
     _write(tmp_path / "in.conllu", FIG1_CONLLU)
@@ -774,9 +794,81 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules, st
         env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
-    loaded, loaded_stdlib = result.stdout.split("\n")[:2]
+    loaded, loaded_stdlib = result.stdout.split("\n")[-3:-1]
     assert loaded.split() == [f"udmorph.{name}" for name in modules.split()]
-    assert loaded_stdlib == stdlib
+    # at most these: an interpreter may not need one of them for the help
+    assert set(loaded_stdlib.split()) <= set(stdlib.split())
+    assert ("argparse" in loaded_stdlib) == ("argparse" in stdlib)
+
+
+# Argument lists for each command and for none: mostly the command's own
+# options spelled exactly, also any command's, and options abbreviated,
+# with `=`, help, `--` and one no command has; values that pass as one and
+# `-x`, which does not; positionals before, between and after options.
+_OTHER = st.sampled_from([
+    "--out", "--output=x", "-ox", "--len", "--lenient=1", "--rul", "--rules=r", "--aux=a", "--rec",
+    "--records=l", "--total", "--total-tokens=5", "--instr", "--exclude", "--jobs", "-h", "--help", "--",
+])
+_VALUES = st.sampled_from(["-", "-x", "", "٣", "5"])
+_ANY_OPTION = st.sampled_from(sorted({
+    name for _, _, arguments in cli._COMMANDS.values() for names, _ in arguments for name in names
+    if name.startswith("-")
+}))
+
+
+def _argv_items(command):
+    own = [
+        name for names, _ in cli._COMMANDS.get(command, ("", "", ()))[2] for name in names
+        if name.startswith("-")
+    ]
+    options = st.sampled_from(own) if own else _ANY_OPTION
+    return st.lists(
+        st.one_of(
+            *[_VALUES.map(lambda value: [value])] * 3,
+            *[options.map(lambda option: [option])] * 2,
+            *[st.tuples(options, _VALUES).map(list)] * 4,
+            st.tuples(_ANY_OPTION, _VALUES).map(list),
+            _OTHER.map(lambda option: [option]),
+            st.tuples(_OTHER, _VALUES).map(list),
+        ),
+        max_size=5,
+    ).map(lambda items: [command] + [arg for item in items for arg in item])
+
+
+_ARGVS = st.one_of(
+    st.sampled_from([*cli._COMMANDS] * 3 + ["frob", "enr", "-h"]).flatmap(_argv_items),
+    st.just([]),
+)
+
+
+def _argparse_outcome(argv):
+    """`vars()` of the namespace argparse gives for `argv`, or its exit code."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit as exit_:
+        return exit_.code
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_ARGVS)
+@example(argv=["validate", "gold.conllu"])
+@example(argv=["eval", "gold.conllu", "predictions.txt", "-o", "eval.txt"])
+@example(argv=["enrich", "gold.conllu", "-o", "enriched.conllu"])
+@example(argv=[
+    "correct", "enriched.conllu", "--aux", "aux.tsv", "--records", "corrections.tsv",
+    "-o", "corrected.conllu",
+])
+@example(argv=["convert-it", "corrected.conllu", "-o", "records.jsonl"])
+@example(argv=["enrich", "--help"])
+@example(argv=["stats", "-o", "-", "--total-tokens", "٣", "log.tsv"])
+@example(argv=["eval", "--exclude-punct", "-", "p.txt", "--lenient"])
+@example(argv=["stats", "5", "-"])  # more positionals than the command takes
+@example(argv=["eval", "-", "5", "٣"])
+def test_the_strict_reader_reads_as_argparse_does_or_declines(argv):
+    read = cli._read_argv(argv)
+    # never a namespace where argparse exits, nor one argparse would not give
+    assert read is None or vars(read) == _argparse_outcome(argv)
 
 
 def test_the_public_names_resolve_on_first_use():

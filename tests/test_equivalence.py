@@ -35,7 +35,6 @@ from udmorph.conllu import (
     Morpheme,
     Sentence,
     Token,
-    _cycle_entries,
     _id_error,
     _misalignment,
     _parse_feats,
@@ -60,6 +59,7 @@ from udmorph.rules import (
     _misc_with_flag,
     enrich_sentence,
 )
+from udmorph.validation import _cycle_entries
 
 
 def _old_token_cells(lemma, upos, xpos, feats, lenient):
@@ -607,8 +607,32 @@ _TOKEN_SWAPS = {
 
 
 @st.composite
+def _clean_tree(draw, sentence):
+    """`sentence` as `validate` passes it: heads forming a random tree, `root`
+    on the root alone, and an invalid UPOS, DEPREL or word shape replaced."""
+    n = len(sentence.tokens)
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))] + 1
+    tokens = []
+    for token, head in zip(sentence.tokens, heads):
+        deprel = token.deprel if token.deprel.partition(":")[0] in UD_RELATIONS - {"root"} else "dep"
+        shape = {} if "" not in _split_plus(token.lemma) else {"lemma": "학교", "xpos": "NNG"}
+        tokens.append(token._replace(
+            upos=token.upos if token.upos in UPOS_TAGS else "X",
+            head=head,
+            deprel="root" if head == 0 else deprel,
+            **shape,
+        ))
+    return sentence._replace(tokens=tuple(tokens))
+
+
+@st.composite
 def _mutated_sentences(draw):
     sentences = conllu.parse_conllu(draw(SEJONG_TREEBANK))
+    if draw(st.booleans()):  # clean trees, so that a mutation is their one fault
+        sentences = [draw(_clean_tree(sentence)) for sentence in sentences]
     for _ in range(draw(st.integers(0, 6))):
         s = draw(st.integers(0, len(sentences) - 1))
         tokens = list(sentences[s].tokens)

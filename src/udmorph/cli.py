@@ -6,12 +6,12 @@ Data flows on stdout, diagnostics and `WARNING: <message>` lines
 argument reads stdin for `-`, at most one per command.  Sentences stream one
 at a time in every command, `eval`'s gold and predictions in step.  Besides
 the bounded memos, each command holds one sentence (`eval` one gold sentence
-and one prediction block), `enrich` and `correct` the rule pack, and `stats`
-the log it reads.  `correct` also holds its aux sidecar, one object per
-distinct cell, and nothing per correction record: `--records` spools each
-sentence's log rows to an unnamed file and copies them after the
-`# total_tokens` header, which comes first but is known only at the end.  So
-no command's memory grows with the corpus but `correct`'s, by its sidecar.
+and one prediction block), `enrich` the rule pack, and `stats` the log it
+reads.  `correct` holds its aux sidecar, one object per distinct cell, and
+nothing per correction record: `--records` spools each sentence's log rows
+to an unnamed file and copies them after the `# total_tokens` header, which
+comes first but is known only at the end.  So no command's memory grows
+with the corpus but `correct`'s, by its sidecar.
 Outputs are byte-deterministic for identical inputs.  A named output
 (`-o FILE`, `--records FILE`) is written all or nothing (`_replacing`);
 stdout cannot be.  Exit codes: 0 success, 1 validation failure, 2 I/O or
@@ -134,15 +134,6 @@ def _open_or_stdio(path: str, mode: str = "r") -> AbstractContextManager[TextIO]
     return nullcontext(sys.stdout)
 
 
-def _load_pack(path: str | None) -> rules.RulePack:
-    from . import rules
-
-    if path is None:
-        return rules.load_default_pack()
-    with _open_or_stdio(path) as stream:
-        return rules.load_rule_pack(stream)
-
-
 def _require_inputs(args: SimpleNamespace) -> None:
     """Fail fast, before any output is produced, on an unreadable input or on
     stdin ('-') named for more than one input."""
@@ -178,7 +169,11 @@ def _cmd_validate(args: SimpleNamespace) -> int:
 def _cmd_enrich(args: SimpleNamespace) -> int:
     from . import rules
 
-    pack = _load_pack(args.rules)
+    if args.rules is None:
+        pack = rules.load_default_pack()
+    else:
+        with _open_or_stdio(args.rules) as stream:
+            pack = rules.load_rule_pack(stream)
     with _open_or_stdio(args.output, "w") as sink:
         for sentence in _stream_sentences(args):
             conllu.write_conllu([rules.enrich_sentence(sentence, pack)], sink)
@@ -194,7 +189,6 @@ def _cmd_correct(args: SimpleNamespace) -> int:
         log_target = _replaced_target(args.records)
         if log_target is not None and log_target == _replaced_target(args.output):
             raise conllu.UdmorphError(f"-o and --records name the same file: {args.output}")
-    pack = _load_pack(args.rules)
     aux_by_sentence: dict[str, list[corrections.AuxAnnotation]] = {}
     if args.aux is not None:
         with _open_or_stdio(args.aux) as stream:
@@ -222,7 +216,7 @@ def _cmd_correct(args: SimpleNamespace) -> int:
                         " its aux entries; give every sentence a unique sent_id"
                     )
                 matched.add(sid)
-            corrected, records = corrections.correct_sentence(sentence, entries, pack)
+            corrected, records = corrections.correct_sentence(sentence, entries)
             if spool is not None:
                 spool.write(corrections.format_log_rows(records))
             conllu.write_conllu([corrected], sink)
@@ -280,7 +274,6 @@ def _cmd_eval(args: SimpleNamespace) -> int:
 _INPUTS = (("inputs",), {"nargs": "*", "default": ["-"], "help": "CoNLL-U file(s), '-' for stdin"})
 _LENIENT = (("--lenient",), {"action": "store_true", "help": "map unknown XPOS tags to NA"})
 _OUTPUT = (("-o", "--output"), {"default": "-", "help": "output file, '-' for stdout"})
-_RULES = (("--rules",), {"help": "rule-pack file (default: the packaged Korean pack)"})
 
 _COMMANDS = {
     "validate": (
@@ -291,7 +284,12 @@ _COMMANDS = {
     "enrich": (
         _cmd_enrich,
         "assign morphosyntactic features from the rule pack",
-        (_INPUTS, _LENIENT, _OUTPUT, _RULES),
+        (
+            _INPUTS,
+            _LENIENT,
+            _OUTPUT,
+            (("--rules",), {"help": "rule-pack file (default: the packaged Korean pack)"}),
+        ),
     ),
     "correct": (
         _cmd_correct,
@@ -300,7 +298,6 @@ _COMMANDS = {
             _INPUTS,
             _LENIENT,
             _OUTPUT,
-            _RULES,
             (("--aux",), {"help": "NER/tagger sidecar file"}),
             (("--records",), {"help": "write the correction log here"}),
         ),

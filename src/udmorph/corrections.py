@@ -12,7 +12,7 @@ sentence exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .conllu import (
     CANONICAL_UPOS,
@@ -25,9 +25,6 @@ from .conllu import (
     _text_stream,
     canonical_upos,
 )
-
-if TYPE_CHECKING:  # annotations only: `stats` runs no rule and loads no `rules`
-    from .rules import RulePack
 
 
 class CorrectionError(UdmorphError):
@@ -83,6 +80,10 @@ class ConversionStats(NamedTuple):
 
 
 _COMPLEMENT_STEMS = ("되", "아니")
+# the words rule 5 retags from MAG to MAJ when one MAG morpheme makes the word
+CONJUNCTIVE_ADVERBS = frozenset(
+    ("그러나", "그리고", "하지만", "그런데", "그래서", "따라서", "그러므로", "또한")
+)
 _PREDICATE_TAGS = frozenset({"VV", "VA", "VX", "VCP", "VCN"})
 
 
@@ -97,7 +98,7 @@ def _retagged(morphemes: Sequence[Morpheme], index: int, tag: str) -> str:
 
 
 def correct_sentence(
-    sentence: Sentence, aux: Sequence[AuxAnnotation], pack: RulePack
+    sentence: Sentence, aux: Sequence[AuxAnnotation]
 ) -> tuple[Sentence, list[CorrectionRecord]]:
     """Apply the five correction rules to each token in turn; returns the new
     sentence, `sentence` itself when no rule changed it, and its records."""
@@ -186,7 +187,7 @@ def correct_sentence(
 
         # 5. conjunctive adverbs: MAG -> MAJ
         if len(morphemes) == 1 and morphemes[0].tag == "MAG":
-            if token.form in pack.conjunctive_adverbs:
+            if token.form in CONJUNCTIVE_ADVERBS:
                 rewrite("XPOS", _retagged(morphemes, 0, "MAJ"), "conj-adverb")
 
         tokens.append(token)
@@ -269,8 +270,8 @@ def _tally(records: Iterable[CorrectionRecord]) -> tuple[dict[tuple[str, str, st
 def _stats(
     counts: dict[tuple[str, str, str], int], corrected_tokens: int, total_tokens: int
 ) -> ConversionStats:
-    if total_tokens <= 0:
-        raise CorrectionError("total_tokens must be positive")
+    if total_tokens < 0:  # 0 is an empty corpus, which `correct --records` logs
+        raise CorrectionError("total_tokens must not be negative")
     if total_tokens < corrected_tokens:
         raise CorrectionError(
             f"total_tokens {total_tokens} is below the {corrected_tokens} corrected tokens"

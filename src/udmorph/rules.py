@@ -142,7 +142,6 @@ class RulePack:
         language: str,
         rules: tuple[Rule, ...],
         functional_words: dict[str, frozenset[str]],
-        conjunctive_adverbs: frozenset[str],
     ):
         ordered = tuple(sorted(rules, key=lambda r: (-r.priority, r.id)))
         by_tag: dict[str, list[int]] = {}
@@ -154,7 +153,6 @@ class RulePack:
             language=language,
             rules=ordered,
             functional_words=functional_words,
-            conjunctive_adverbs=conjunctive_adverbs,
             _positions_by_tag=by_tag,
             # per-pack memos, so each pack, a copy included, starts empty
             verdict=lru_cache(MEMO_SIZE)(self._resolve),
@@ -165,7 +163,7 @@ class RulePack:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def _fields(self) -> tuple:
-        return (self.language, self.rules, self.functional_words, self.conjunctive_adverbs)
+        return (self.language, self.rules, self.functional_words)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -353,7 +351,6 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
     rules: list[Rule] = []
     functional: dict[str, set[str]] = {}
     voice: dict[str, str] = {}
-    conjadv: set[str] = set()
 
     first = stream.readline().rstrip("\n")
     if first.strip() != PACK_HEADER:
@@ -385,8 +382,6 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
                 raise RulePackError(f"duplicate voice entry {parts[0]!r}", line_no)
             _check_feature_value(parts[1], line_no)
             voice[parts[0]] = parts[1]
-        elif directive == "conjadv":
-            conjadv.update(body.split())
         else:
             raise RulePackError(f"unknown directive {directive!r}", line_no)
 
@@ -410,7 +405,6 @@ def load_rule_pack(source: str | TextIO) -> RulePack:
         language=language,
         rules=tuple(rules),
         functional_words={k: frozenset(v) for k, v in functional.items()},
-        conjunctive_adverbs=frozenset(conjadv),
     )
 
 

@@ -93,12 +93,12 @@ def _correction_corpus():
     return sentences, aux
 
 
-def test_criterion_3_correction_fidelity_and_stats(pack):
+def test_criterion_3_correction_fidelity_and_stats():
     sentences, aux = _correction_corpus()
     corrected = []
     records = []
     for sentence in sentences:
-        fixed, recs = correct_sentence(sentence, aux.get(sentence.sent_id, []), pack)
+        fixed, recs = correct_sentence(sentence, aux.get(sentence.sent_id, []))
         corrected.append(fixed)
         records.extend(recs)
 
@@ -112,7 +112,7 @@ def test_criterion_3_correction_fidelity_and_stats(pack):
         sent_id="c10",
     )
     fixed, recs = correct_sentence(
-        reanalysis, [AuxAnnotation("c10", 1, ner_label="LOC", ext_xpos=("NNP",))], pack
+        reanalysis, [AuxAnnotation("c10", 1, ner_label="LOC", ext_xpos=("NNP",))]
     )
     token = fixed.tokens[0]
     assert (token.lemma, token.upos, token.xpos) == ("중일", "PROPN", "NNP")
@@ -296,15 +296,15 @@ def test_criterion_5_round_trip_and_idempotence(pack):
     sentences, aux = _correction_corpus()
     corrected = []
     for sentence in sentences:
-        fixed, records = correct_sentence(sentence, aux.get(sentence.sent_id, []), pack)
-        refixed, second_records = correct_sentence(fixed, aux.get(sentence.sent_id, []), pack)
+        fixed, records = correct_sentence(sentence, aux.get(sentence.sent_id, []))
+        refixed, second_records = correct_sentence(fixed, aux.get(sentence.sent_id, []))
         assert refixed == fixed
         assert second_records == []
         assert apply_records(sentence, records) == fixed
         corrected.append(fixed)
     assert validate(corrected) == []
     assert serialize_conllu(
-        apply_records(s, correct_sentence(s, aux.get(s.sent_id, []), pack)[1]) for s in sentences
+        apply_records(s, correct_sentence(s, aux.get(s.sent_id, []))[1]) for s in sentences
     ) == serialize_conllu(corrected)
     _passed(5, "byte-exact round trips; enrich/correct idempotent; records replay exactly")
 

@@ -234,6 +234,31 @@ def test_correct_writes_log_and_stats(tmp_path, capsys):
     assert "ADV\tNOUN\t1\t0.5000" in captured
 
 
+def test_stats_reads_the_log_correct_writes_for_an_empty_corpus(tmp_path, capsys):
+    src = _write(tmp_path / "empty.conllu", "")
+    log = tmp_path / "log.tsv"
+    assert main(["correct", src, "-o", str(tmp_path / "out.conllu"), "--records", str(log)]) == 0
+    assert log.read_text(encoding="utf-8").startswith("# total_tokens\t0\n")
+    capsys.readouterr()
+    assert main(["stats", str(log)]) == 0
+    assert capsys.readouterr().out == (
+        "# total_tokens\t0\n"
+        "# UPOS corrections\noriginal\tcorrected\tcount\tratio\n"
+        "# XPOS corrections\noriginal\tcorrected\tcount\tratio\n"
+    )
+
+
+def test_correct_takes_no_rule_pack(tmp_path, capsys):
+    src = _write(tmp_path / "in.conllu", FIG1_CONLLU)
+    pack = _write(tmp_path / "x.rules", "#unidive-rules v1\nrule a 1 tag=NNG => Case=Nom\n")
+    out = tmp_path / "out.conllu"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["correct", src, "--rules", pack, "-o", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --rules" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(text=SEJONG_TREEBANK, cut=st.integers(0, 3))
 @example(text=FIG1_CONLLU * 2, cut=1)
@@ -347,7 +372,7 @@ _LONG_LOG_CASE = (
 @settings(max_examples=60, deadline=None)
 @given(case=_treebank_and_aux())
 @example(case=_LONG_LOG_CASE)
-def test_the_spooled_log_equals_the_log_written_in_one_call(pack, case):
+def test_the_spooled_log_equals_the_log_written_in_one_call(case):
     text, sidecar = case
     entries_by_sentence = {}
     for entry in read_aux_sidecar(sidecar):
@@ -361,7 +386,7 @@ def test_the_spooled_log_equals_the_log_written_in_one_call(pack, case):
                 if sentence.sent_id in taken:
                     raise UdmorphError(sentence.sent_id)
                 taken.add(sentence.sent_id)
-            records += correct_sentence(sentence, entries, pack)[1]
+            records += correct_sentence(sentence, entries)[1]
         expected = log_header(total_tokens) + format_log_rows(records)
     except UdmorphError:
         expected = None
@@ -771,7 +796,7 @@ print(" ".join(m for m in costly if m in sys.modules))
         (["stats", "log.tsv", "-o", "out"], "cli conllu corrections", ""),
         (
             ["correct", "in.conllu", "--aux", "aux.tsv", "--records", "log.out", "-o", "out"],
-            "cli conllu corrections rules",
+            "cli conllu corrections",
             "",
         ),
         # only a command line the strict reader declines loads argparse

@@ -30,22 +30,22 @@ from udmorph.itdata import to_it_record
 from udmorph.rules import enrich_sentence
 
 
-def test_temporal_noun_mislabeled_adv(pack):
+def test_temporal_noun_mislabeled_adv():
     sentence = make_sentence(
         [("가격에", "가격+에", "NNG+JKB", "ADV"), ("올랐다", "오르+았+다", "VV+EP+EF", "VERB")],
         sent_id="s1",
     )
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert corrected.tokens[0].upos == "NOUN"
     assert [(r.field, r.original, r.corrected) for r in records] == [("UPOS", "ADV", "NOUN")]
 
 
-def test_root_fragment_normalization(pack):
+def test_root_fragment_normalization():
     sentence = make_sentence(
         [("행복한", "행복+하+ㄴ", "XR+XSA+ETM", "ADV"), ("사람", "사람", "NNG", "NOUN")],
         sent_id="s1",
     )
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert corrected.tokens[0].xpos == "NNG+XSA+ETM"
     assert corrected.tokens[0].upos == "ADJ"
     changes = {(r.field, r.original, r.corrected) for r in records}
@@ -53,21 +53,21 @@ def test_root_fragment_normalization(pack):
     assert ("UPOS", "ADV", "ADJ") in changes
 
 
-def test_standalone_root_fragment(pack):
+def test_standalone_root_fragment():
     sentence = make_sentence([("민주", "민주", "XR", "NOUN")], sent_id="s1")
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert corrected.tokens[0].xpos == "NNG"
     assert [(r.field, r.original, r.corrected) for r in records] == [("XPOS", "XR", "NNG")]
 
 
-def test_complement_marker_via_dependency_head(pack):
+def test_complement_marker_via_dependency_head():
     sentence = make_sentence(
         [("경관이", "경관+이", "NNG+JKS", "NOUN"), ("되었다", "되+었+다", "VV+EP+EF", "VERB")],
         sent_id="s1",
         heads=[2, 0],
         deprels=["obj", "root"],
     )
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert corrected.tokens[0].xpos == "NNG+JKC"
     assert records[0].rule_id == "complement-jkc"
     # structure untouched
@@ -75,70 +75,70 @@ def test_complement_marker_via_dependency_head(pack):
     assert [t.deprel for t in corrected.tokens] == ["obj", "root"]
 
 
-def test_complement_marker_positional_fallback(pack):
+def test_complement_marker_positional_fallback():
     sentence = make_sentence(
         [("학생이", "학생+이", "NNG+JKS", "NOUN"), ("아니다", "아니+다", "VCN+EF", "ADJ")],
         sent_id="s1",
         heads=[None, 0],
         deprels=["obj", "root"],
     )
-    corrected, _ = correct_sentence(sentence, [], pack)
+    corrected, _ = correct_sentence(sentence, [])
     assert corrected.tokens[0].xpos == "NNG+JKC"
 
 
-def test_subject_marker_kept_without_copular_head(pack):
+def test_subject_marker_kept_without_copular_head():
     sentence = make_sentence(
         [("경관이", "경관+이", "NNG+JKS", "NOUN"), ("좋다", "좋+다", "VA+EF", "ADJ")],
         sent_id="s1",
         heads=[2, 0],
         deprels=["nsubj", "root"],
     )
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert corrected.tokens[0].xpos == "NNG+JKS"
     assert records == []
 
 
-def test_ner_promotes_common_noun(pack):
+def test_ner_promotes_common_noun():
     sentence = make_sentence(
         [("서울", "서울", "NNG", "NOUN"), ("갔다", "가+았+다", "VV+EP+EF", "VERB")],
         sent_id="s1",
     )
     aux = [AuxAnnotation("s1", 1, ner_label="LOC")]
-    corrected, records = correct_sentence(sentence, aux, pack)
+    corrected, records = correct_sentence(sentence, aux)
     assert corrected.tokens[0].xpos == "NNP"
     assert corrected.tokens[0].upos == "PROPN"
     assert {r.rule_id for r in records} == {"ner-propn"}
 
 
-def test_ner_demotes_unrecognized_proper_noun(pack):
+def test_ner_demotes_unrecognized_proper_noun():
     sentence = make_sentence(
         [("가방", "가방", "NNP", "PROPN"), ("샀다", "사+았+다", "VV+EP+EF", "VERB")],
         sent_id="s1",
     )
     aux = [AuxAnnotation("s1", 1, ner_label=None)]
-    corrected, records = correct_sentence(sentence, aux, pack)
+    corrected, records = correct_sentence(sentence, aux)
     assert corrected.tokens[0].xpos == "NNG"
     assert corrected.tokens[0].upos == "NOUN"
     assert {r.rule_id for r in records} == {"ner-common"}
 
 
-def test_ner_rules_skipped_without_sidecar_entry(pack):
+def test_ner_rules_skipped_without_sidecar_entry():
     sentence = make_sentence(
         [("가방", "가방", "NNP", "PROPN"), ("샀다", "사+았+다", "VV+EP+EF", "VERB")],
         sent_id="s1",
     )
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert corrected.tokens[0].xpos == "NNP"
     assert records == []
 
 
-def test_external_reanalysis_collapses_segmentation(pack):
+def test_external_reanalysis_collapses_segmentation():
     sentence = make_sentence(
         [("중일", "중+이+ㄹ", "NNB+VCP+ETM", "VERB"), ("관계", "관계", "NNG", "NOUN")],
         sent_id="s1",
     )
     aux = [AuxAnnotation("s1", 1, ner_label="LOC", ext_xpos=("NNP",))]
-    corrected, records = correct_sentence(sentence, aux, pack)
+    corrected, records = correct_sentence(sentence, aux)
     token = corrected.tokens[0]
     assert (token.lemma, token.upos, token.xpos) == ("중일", "PROPN", "NNP")
     changes = {(r.field, r.original, r.corrected) for r in records}
@@ -148,48 +148,70 @@ def test_external_reanalysis_collapses_segmentation(pack):
 
 
 @pytest.mark.parametrize("form", ["1+2", "_", ""])
-def test_external_reanalysis_keeps_a_form_no_lemma_can_hold(pack, form):
+def test_external_reanalysis_keeps_a_form_no_lemma_can_hold(form):
     # as LEMMA this form would read back as 2 or 0 segments for 1 tag
     sentence = make_sentence([(form, "1+2", "SN+SN", "NUM")], sent_id="s1")
     aux = [AuxAnnotation("s1", 1, ext_xpos=("SN",))]
-    corrected, records = correct_sentence(sentence, aux, pack)
+    corrected, records = correct_sentence(sentence, aux)
     assert corrected == sentence
     assert records == []
 
 
-def test_external_retagging_same_length(pack):
+def test_external_retagging_same_length():
     sentence = make_sentence(
         [("예쁘다", "예쁘+다", "VV+EF", "VERB")],
         sent_id="s1",
     )
     aux = [AuxAnnotation("s1", 1, ext_xpos=("VA", "EF"))]
-    corrected, records = correct_sentence(sentence, aux, pack)
+    corrected, records = correct_sentence(sentence, aux)
     assert corrected.tokens[0].xpos == "VA+EF"
     assert corrected.tokens[0].upos == "ADJ"
 
 
-def test_conjunctive_adverb(pack):
+def test_conjunctive_adverb():
     sentence = make_sentence(
         [("그러나", "그러나", "MAG", "ADV"), ("갔다", "가+았+다", "VV+EP+EF", "VERB")],
         sent_id="s1",
     )
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert corrected.tokens[0].xpos == "MAJ"
     assert corrected.tokens[0].upos == "ADV"
     assert [(r.field, r.original, r.corrected) for r in records] == [("XPOS", "MAG", "MAJ")]
 
 
-def test_already_canonical_sentence_is_fixed_point(pack):
+@pytest.mark.parametrize(
+    "word", ["그러나", "그리고", "하지만", "그런데", "그래서", "따라서", "그러므로", "또한"]
+)
+def test_each_conjunctive_adverb_is_retagged_maj(word):
+    sentence = make_sentence([(word, word, "MAG", "ADV"), ("갔다", "가+았+다", "VV+EP+EF", "VERB")])
+    _, records = correct_sentence(sentence, [])
+    assert [(r.token_id, r.field, r.original, r.corrected, r.rule_id) for r in records] == [
+        (1, "XPOS", "MAG", "MAJ", "conj-adverb")
+    ]
+
+
+@pytest.mark.parametrize(
+    "word",
+    [("굉장히", "굉장히", "MAG", "ADV"), ("그러나", "그렇+나", "MAG+EC", "ADV")],
+    ids=["other-adverb", "two-morphemes"],
+)
+def test_no_other_word_is_retagged_as_a_conjunctive_adverb(word):
+    sentence = make_sentence([word, ("갔다", "가+았+다", "VV+EP+EF", "VERB")])
+    _, records = correct_sentence(sentence, [])
+    assert "conj-adverb" not in {r.rule_id for r in records}
+
+
+def test_already_canonical_sentence_is_fixed_point():
     sentence = make_sentence(
         [("학교", "학교", "NNG", "NOUN"), ("좋다", "좋+다", "VA+EF", "ADJ")],
         sent_id="s1",
     )
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert corrected == sentence
     assert records == []
 
 
-def test_correction_is_idempotent(pack):
+def test_correction_is_idempotent():
     sentence = make_sentence(
         [
             ("가격에", "가격+에", "NNG+JKB", "ADV"),
@@ -199,8 +221,8 @@ def test_correction_is_idempotent(pack):
         ],
         sent_id="s1",
     )
-    once, records = correct_sentence(sentence, [], pack)
-    twice, second_records = correct_sentence(once, [], pack)
+    once, records = correct_sentence(sentence, [])
+    twice, second_records = correct_sentence(once, [])
     assert twice == once
     assert second_records == []
     # corrections never touch ids, heads, relations or surface forms
@@ -213,7 +235,7 @@ def test_correction_is_idempotent(pack):
         )
 
 
-def test_replay_reproduces_correction(pack):
+def test_replay_reproduces_correction():
     sentence = make_sentence(
         [
             ("가격에", "가격+에", "NNG+JKB", "ADV"),
@@ -222,7 +244,7 @@ def test_replay_reproduces_correction(pack):
         ],
         sent_id="s1",
     )
-    corrected, records = correct_sentence(sentence, [], pack)
+    corrected, records = correct_sentence(sentence, [])
     assert apply_records(sentence, records) == corrected
 
 
@@ -244,10 +266,10 @@ def test_replay_rejects_a_record_that_does_not_fit(record, message):
         apply_records(sentence, [record])
 
 
-def test_unresolvable_aux_reference(pack):
+def test_unresolvable_aux_reference():
     sentence = make_sentence([("학교", "학교", "NNG", "NOUN")], sent_id="s1")
     with pytest.raises(CorrectionError, match="missing token"):
-        correct_sentence(sentence, [AuxAnnotation("s1", 7, ner_label="LOC")], pack)
+        correct_sentence(sentence, [AuxAnnotation("s1", 7, ner_label="LOC")])
 
 
 # ------------------------------------------------------------------ statistics
@@ -271,8 +293,9 @@ def test_aggregate_groups_and_sorts():
 
 def test_aggregate_empty_and_invalid_total():
     assert aggregate_stats([], 10).rows == ()
-    with pytest.raises(CorrectionError):
-        aggregate_stats([], 0)
+    assert aggregate_stats([], 0).rows == ()
+    with pytest.raises(CorrectionError, match="^total_tokens must not be negative$"):
+        aggregate_stats([], -1)
     records = [_record("UPOS", "ADV", "NOUN"), _record("UPOS", "ADV", "NOUN", token_id=2)]
     with pytest.raises(CorrectionError, match="^total_tokens 1 is below the 2 corrected tokens$"):
         aggregate_stats(records, 1)
@@ -280,8 +303,8 @@ def test_aggregate_empty_and_invalid_total():
 
 def _set_of_pairs_stats(records, total_tokens):
     """`aggregate_stats` as it was, with a set of (sent_id, token_id) pairs."""
-    if total_tokens <= 0:
-        raise CorrectionError("total_tokens must be positive")
+    if total_tokens < 0:
+        raise CorrectionError("total_tokens must not be negative")
     distinct_tokens = {(r.sent_id, r.token_id) for r in records}
     if total_tokens < len(distinct_tokens):
         raise CorrectionError(
@@ -434,7 +457,7 @@ def test_correct_and_enrich_hold_no_memory_per_sentence(pack):
 
     def run():
         for sentence in sentences:
-            correct_sentence(sentence, [], pack)
+            correct_sentence(sentence, [])
             enrich_sentence(sentence, pack)
 
     # a full collection empties the stocks, so none runs from here on
@@ -476,12 +499,12 @@ def test_crlf_sidecar_and_log_strings_read_as_lf_strings_do():
     assert read_records(log.replace("\n", "\r\n"))[0][0].rule_id == "canonical-upos"
 
 
-def test_a_sentence_without_a_sent_id_takes_no_other_sentences_aux_entries(pack):
+def test_a_sentence_without_a_sent_id_takes_no_other_sentences_aux_entries():
     words = [("서울", "서울", "NNG", "NOUN")]
     entry = AuxAnnotation("s9", 1, "LOC")
     for sent_id in (None, "s1"):
         sentence = make_sentence(words, sent_id=sent_id)
-        corrected, records = correct_sentence(sentence, [entry], pack)
+        corrected, records = correct_sentence(sentence, [entry])
         assert (corrected, records) == (sentence, [])
 
 
@@ -513,7 +536,7 @@ def _aux_entries(sentence):
 def test_enrich_then_correct_output_reparses_and_stays_valid(pack, text, data):
     sentences = parse_conllu(text)
     written = serialize_conllu(
-        correct_sentence(enrich_sentence(s, pack), data.draw(_aux_entries(s)), pack)[0]
+        correct_sentence(enrich_sentence(s, pack), data.draw(_aux_entries(s)))[0]
         for s in sentences
     )
     reparsed = parse_conllu(written)
@@ -525,10 +548,10 @@ def test_enrich_then_correct_output_reparses_and_stays_valid(pack, text, data):
 
 @settings(max_examples=300, deadline=None)
 @given(text=SEJONG_TREEBANK, data=st.data())
-def test_log_written_and_read_back_replays_to_the_corrected_sentence(pack, text, data):
+def test_log_written_and_read_back_replays_to_the_corrected_sentence(text, data):
     sentences = parse_conllu(text)
     for sentence in sentences:
-        corrected, records = correct_sentence(sentence, data.draw(_aux_entries(sentence)), pack)
+        corrected, records = correct_sentence(sentence, data.draw(_aux_entries(sentence)))
         replayed, total = read_records(log_header(len(sentence.tokens)) + format_log_rows(records))
         assert total == len(sentence.tokens)
         assert all(r.original != r.corrected for r in records)
@@ -563,7 +586,7 @@ def _lenient_treebank(draw):
 def test_what_lenient_parsing_accepts_passes_enrich_and_correct(pack, text, data):
     for sentence in parse_conllu(text, lenient=True):
         enriched = enrich_sentence(sentence, pack)
-        corrected, records = correct_sentence(enriched, data.draw(_aux_entries(enriched)), pack)
+        corrected, records = correct_sentence(enriched, data.draw(_aux_entries(enriched)))
         log = log_header(len(enriched.tokens)) + format_log_rows(records)
         assert apply_records(enriched, read_records(log)[0]) == corrected
         (reparsed,) = parse_conllu(serialize_conllu([corrected]), lenient=True)
@@ -576,7 +599,7 @@ def test_what_lenient_parsing_accepts_passes_enrich_and_correct(pack, text, data
 def test_a_token_every_stage_builds_behaves_like_one_its_constructor_builds(pack, text, data):
     for sentence in parse_conllu(text):
         enriched = enrich_sentence(sentence, pack)
-        corrected, _ = correct_sentence(enriched, data.draw(_aux_entries(enriched)), pack)
+        corrected, _ = correct_sentence(enriched, data.draw(_aux_entries(enriched)))
         for token in sentence.tokens + enriched.tokens + corrected.tokens:
             built = Token(**token._asdict())
             assert type(token) is Token

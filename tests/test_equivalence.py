@@ -45,6 +45,7 @@ from udmorph.corrections import (
     _COMPLEMENT_STEMS,
     _PREDICATE_TAGS,
     _RECORD_ATTRIBUTES,
+    CONJUNCTIVE_ADVERBS,
     AuxAnnotation,
     CorrectionError,
     CorrectionRecord,
@@ -372,8 +373,12 @@ def _old_enrich_sentence(sentence, pack):
     tokens = list(enriched.tokens)
     for i, token in enumerate(enriched.tokens):
         verdict = pack.verdict(token.morphemes)
-        # the old `Verdict.ending`
-        transcription = None if verdict.winners else _old_ending_transcription(token.morphemes)
+        # the old `Verdict.ending`, with ㅃ, which the old table lacked and so
+        # dropped, read as the letters pp
+        morphemes = token.morphemes[:-1] + tuple(
+            [Morpheme(m.surface.replace("ㅃ", "pp"), m.tag) for m in token.morphemes[-1:]]
+        )
+        transcription = None if verdict.winners else _old_ending_transcription(morphemes)
         ending = None if transcription is None else FeatureBag.from_conllu("=".join(transcription))
         if ending is not None and not token.feats:
             tokens[i] = token = token.with_feats(ending)
@@ -384,7 +389,7 @@ def _old_enrich_sentence(sentence, pack):
     return Sentence(enriched.comments, tuple(tokens), enriched.extras)
 
 
-def _old_correct_token(token, sentence, aux, pack, records, sid):
+def _old_correct_token(token, sentence, aux, records, sid):
     def rewrite(field, value, rule_id):
         nonlocal token
         attribute = _RECORD_ATTRIBUTES[field]
@@ -435,12 +440,12 @@ def _old_correct_token(token, sentence, aux, pack, records, sid):
         if stem and stem[0].surface in _COMPLEMENT_STEMS:
             rewrite("XPOS", _retagged(morphemes, len(morphemes) - 1, "JKC"), "complement-jkc")
             morphemes = token.morphemes
-    if len(morphemes) == 1 and morphemes[0].tag == "MAG" and token.form in pack.conjunctive_adverbs:
+    if len(morphemes) == 1 and morphemes[0].tag == "MAG" and token.form in CONJUNCTIVE_ADVERBS:
         rewrite("XPOS", _retagged(morphemes, 0, "MAJ"), "conj-adverb")
     return token
 
 
-def _old_correct_sentence(sentence, aux, pack):
+def _old_correct_sentence(sentence, aux):
     sid = sentence.sent_id or ""
     aux_by_token = {}
     valid_ids = None
@@ -456,7 +461,7 @@ def _old_correct_sentence(sentence, aux, pack):
         aux_by_token[entry.token_id] = entry
     records = []
     tokens = [
-        _old_correct_token(token, sentence, aux_by_token.get(token.id), pack, records, sid)
+        _old_correct_token(token, sentence, aux_by_token.get(token.id), records, sid)
         for token in sentence.tokens
     ]
     if not records:
@@ -715,6 +720,7 @@ def test_the_cycle_walker_gives_the_entries_the_list_and_set_walker_gave(heads):
 
 @settings(max_examples=300, deadline=None)
 @given(text=SEJONG_TREEBANK)
+@example(text="1\tㅃ\tㅃ\tADJ\tEC\t_\t0\troot\t_\t_\n\n")  # transcribed as Case=pp
 def test_enrich_gives_what_the_two_loop_enrich_gave(pack, text):
     # `pack` is shared by every example, so its memos hold earlier examples' shapes
     for sentence in conllu.parse_conllu(text):
@@ -819,11 +825,11 @@ def _firing(rule_id):
     return [(make_sentence(words, sent_id="s1", heads=heads), aux)], rule_id
 
 
-def _correct_outcome(correct, sentence, aux, pack):
+def _correct_outcome(correct, sentence, aux):
     """The sentence, its records and whether it is the input itself, or the
     error's text."""
     try:
-        corrected, records = correct(sentence, aux, pack)
+        corrected, records = correct(sentence, aux)
     except CorrectionError as error:
         return str(error)
     return corrected, records, corrected is sentence
@@ -842,7 +848,7 @@ def test_correct_gives_what_the_token_by_token_correct_gave(pack, case):
     pairs, fires = case
     for sentence, aux in pairs:
         enriched = enrich_sentence(sentence, pack)
-        outcome = _correct_outcome(correct_sentence, enriched, aux, pack)
-        assert outcome == _correct_outcome(_old_correct_sentence, enriched, aux, pack)
+        outcome = _correct_outcome(correct_sentence, enriched, aux)
+        assert outcome == _correct_outcome(_old_correct_sentence, enriched, aux)
         if fires is not None:
             assert fires in {record.rule_id for record in outcome[1]}

@@ -6,6 +6,11 @@ The golden files also make a round trip: both treebanks pass `validate`,
 and the records' output blocks, read back as predictions, score full
 marks against `corrected.conllu`.
 
+`tests/fixtures/rule_coverage.conllu` holds one sentence for each shipped
+rule that this corpus does not fire; `enrich` must write exactly
+`tests/golden/rule_coverage.enriched.conllu` from it, and every rule of the
+packaged pack must fire on the two corpora.
+
 Regenerate the files with `PYTHONPATH=src python tests/test_golden.py` only
 when an output change is intended, and review the diff."""
 
@@ -21,8 +26,10 @@ import pytest
 import udmorph
 from conftest import FAMILY_FIXTURES, FIG1_CONLLU, make_sentence
 from udmorph.conllu import parse_conllu, serialize_conllu
+from udmorph.rules import _context_matches, load_rule_pack
 
 GOLDEN = Path(__file__).parent / "golden"
+COVERAGE = Path(__file__).parent / "fixtures" / "rule_coverage.conllu"
 
 # family-03 is Case=Abl (학교에서, NNG+JKB), family-25 is Mood=Opt
 # (행복하길, VA+ETN+JKO), fixture-1 token 1 is 학교 (NNG).
@@ -103,7 +110,9 @@ def test_the_packaged_pack_loads_from_a_zip(tmp_path):
     assert (tmp_path / "enriched.conllu").read_bytes() == (GOLDEN / "enriched.conllu").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["enriched.conllu", "corrected.conllu"])
+@pytest.mark.parametrize(
+    "name", ["enriched.conllu", "corrected.conllu", "rule_coverage.enriched.conllu"]
+)
 def test_golden_treebanks_validate_clean(name):
     result = udmorph_cli(["validate", str(GOLDEN / name)], GOLDEN)
     assert (result.returncode, result.stderr) == (0, "")
@@ -123,11 +132,63 @@ def test_golden_records_output_blocks_score_full_marks_against_their_gold(tmp_pa
     assert int(report["total"]) == sum(len(sentence.tokens) for sentence in gold)
 
 
+def enrich_coverage(workdir: Path) -> bytes:
+    """The bytes `enrich` writes for the rule-coverage fixture."""
+    result = udmorph_cli(["enrich", str(COVERAGE), "-o", "enriched.conllu"], workdir)
+    assert result.returncode == 0, f"udmorph enrich exited {result.returncode}: {result.stderr}"
+    return (workdir / "enriched.conllu").read_bytes()
+
+
+def test_the_rule_coverage_fixture_enriches_to_its_golden_bytes(tmp_path):
+    expected = (GOLDEN / "rule_coverage.enriched.conllu").read_bytes()
+    assert enrich_coverage(tmp_path) == expected
+
+
+def fired_rule_ids(sentences, pack) -> set[str]:
+    """The ids of the rules whose emissions reach a word's bag, resolved as
+    `enrich_sentence` resolves them: the word-internal winners, and each
+    lookahead rule that wins a feature key on the first morphemes of the
+    next two words."""
+    fired = set()
+    for sentence in sentences:
+        verdicts = [pack.verdict(token.morphemes) for token in sentence.tokens]
+        for i, verdict in enumerate(verdicts):
+            fired.update(rule.id for _, rule in verdict.winners)
+            window = [v.first for v in verdicts[i + 1 : i + 3] if v.first is not None]
+            context = {}
+            for rule in verdict.lookahead:
+                if _context_matches(rule, window):
+                    for key, _ in rule.emits:
+                        context.setdefault(key, rule)
+            fired.update(rule.id for rule in context.values())
+    return fired
+
+
+def unfired_rule_ids(pack) -> list[str]:
+    """The ids of `pack`'s rules that fire on neither the golden corpus nor
+    the rule-coverage fixture."""
+    sentences = parse_conllu(corpus()) + parse_conllu(COVERAGE.read_text(encoding="utf-8"))
+    return sorted({rule.id for rule in pack.rules} - fired_rule_ids(sentences, pack))
+
+
+def test_every_shipped_rule_fires_on_the_golden_or_coverage_corpus(pack):
+    unfired = unfired_rule_ids(pack)
+    assert not unfired, f"rules that fire on no fixture sentence: {', '.join(unfired)}"
+
+
+def test_a_rule_that_fires_on_no_fixture_is_named():
+    shipped = (Path(udmorph.__file__).parent / "data" / "ko.rules").read_text(encoding="utf-8")
+    pack = load_rule_pack(shipped + "rule never-fires 10 tag=SW surface=※ => Case=Nom\n")
+    assert unfired_rule_ids(pack) == ["never-fires"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as workdir:
         GOLDEN.mkdir(exist_ok=True)
-        for name, data in run_stages(Path(workdir)).items():
+        outputs = run_stages(Path(workdir))
+        outputs["rule_coverage.enriched.conllu"] = enrich_coverage(Path(workdir))
+        for name, data in outputs.items():
             (GOLDEN / name).write_bytes(data)
             print(f"wrote {GOLDEN / name} ({len(data)} bytes)")

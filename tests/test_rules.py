@@ -27,7 +27,7 @@ def _token(form, lemma, xpos, upos="X"):
 
 def _with_rules(pack, rules):
     """A copy of `pack` holding `rules`, with empty memos."""
-    return RulePack(pack.language, tuple(rules), pack.functional_words, pack.conjunctive_adverbs)
+    return RulePack(pack.language, tuple(rules), pack.functional_words)
 
 
 def _ending(pack, lemma, xpos):
@@ -154,13 +154,16 @@ def test_unknown_tag_code_rejected():
         ("voice 먹+히 Pass Cau", "line 3: voice needs '<stem[+suffix]> <value>'"),
         ("voice 먹+히 Pass\nvoice 먹+히 Cau", "line 4: duplicate voice entry '먹+히'"),
         ("lang ko", "line 3: unknown directive 'lang'"),
+        # the conjunctive adverbs are `corrections.CONJUNCTIVE_ADVERBS`, in no pack
+        ("conjadv 그러나 그리고", "line 3: unknown directive 'conjadv'"),
         ("rule voice:먹+히 1 tag=XSV => Voice=Pass\nvoice 먹+히 Pass",
          "duplicate rule id 'voice:먹+히'"),
     ],
     ids=["no-arrow", "few-fields", "priority", "field", "tag-star", "pos", "next-three",
          "unknown-field", "no-tag", "emission", "emits-nothing", "prev-slash", "next-slash",
          "initial-after-prev",
-         "func", "voice-one", "voice-three", "voice-duplicate", "directive", "duplicate-id"],
+         "func", "voice-one", "voice-three", "voice-duplicate", "directive", "conjadv",
+         "duplicate-id"],
 )
 def test_a_malformed_pack_is_refused_naming_its_line(lines, message):
     with pytest.raises(RulePackError) as error:
@@ -418,7 +421,7 @@ def test_enrich_splits_each_word_shapes_morphemes_once(pack, monkeypatch):
 
     calls.clear()
     conllu._morphemes.cache_clear()
-    corrected = [correct_sentence(sentence, [], fresh)[0] for sentence in enriched]
+    corrected = [correct_sentence(sentence, [])[0] for sentence in enriched]
     assert len(_shapes(corrected) - _shapes(enriched)) == 3
     # each shape read is split once: the input's, and those a correction
     # writes for a later one to read
@@ -456,13 +459,13 @@ def test_verdict_memo_stays_within_its_bound(pack):
     for sentence in sentences:
         fresh = _fresh(pack)
         enriched = enrich_sentence(sentence, fresh)
-        expected.append((enriched, correct_sentence(enriched, [], fresh)))
+        expected.append((enriched, correct_sentence(enriched, [])))
     assert expected[0][0].tokens[1].feats.get("Mood") == ("Des",)
     warm = _fresh(pack)
     # twice, so the second round resolves shapes the first one evicted
     for sentence, (enriched, corrected) in zip(sentences * 2, expected * 2):
         assert enrich_sentence(sentence, warm) == enriched
-        assert correct_sentence(enriched, [], warm) == corrected
+        assert correct_sentence(enriched, []) == corrected
     for memo in (conllu._morphemes, warm.verdict, warm._winners_bag):
         assert memo.cache_info().currsize <= MEMO_SIZE
     assert warm.verdict.cache_info().currsize == MEMO_SIZE
